@@ -17,7 +17,7 @@
 // whole-array crashes under a seeded chaos plan, unreplicated vs
 // replicated writes), crashconsist (the crash-consistency grid: power loss
 // mid-write with torn pages, intent journal vs full-scrub remount), all.
-// Run with -list-experiments to print the registry.
+// Run with -list-experiments to print the registry (harness.Experiments).
 //
 // -json <path> additionally writes the machine-readable results of the run
 // (every grid's full metric tables) to the given file.
@@ -27,15 +27,6 @@
 // sequential per-scheme runs are separated by "run-start" events. -timeseries
 // <path> writes fig1's windowed latency/gauge time series as CSV, one
 // labelled block per scheme. Parallel grid experiments ignore both flags.
-//
-// The benchmark regression gate is a separate mode that runs no
-// experiments:
-//
-//	gcsbench -bench-compare old.json [-bench-tolerance 0.10] new.json
-//
-// compares two BENCH_*.json documents (see bench_emit_test.go) and exits
-// non-zero when events/sec fell or allocs/op rose by more than the
-// tolerance.
 package main
 
 import (
@@ -73,33 +64,6 @@ type jsonDoc struct {
 	Experiments []experimentOut `json:"experiments"`
 }
 
-// allExperiments is the -experiment all sequence.
-var allExperiments = []string{"table1", "fig1", "fig2", "fig7a", "fig8",
-	"fig9", "fig10", "fig11", "raid6", "endurance", "faults", "scrub",
-	"failslow", "cluster", "chaos", "crashconsist"}
-
-// experimentBlurbs describes each entry of allExperiments for
-// -list-experiments (aliases like fig7b resolve to the same runs and are
-// not listed separately).
-var experimentBlurbs = map[string]string{
-	"table1":       "synthetic workload generator check against the paper's Table I",
-	"fig1":         "performance-variability timeline per GC scheme",
-	"fig2":         "GC duty cycle and episode statistics",
-	"fig7a":        "mean response time per scheme (fig7b/fig7 alias: GC counts)",
-	"fig8":         "array-size sweep",
-	"fig9":         "stripe-unit sweep",
-	"fig10":        "staging configuration comparison (reserved vs dedicated)",
-	"fig11":        "response time and rebuild duration during reconstruction",
-	"raid6":        "RAID6 extension of the main comparison",
-	"endurance":    "per-scheme flash wear (erases, write amplification)",
-	"faults":       "reliability grid: failures, rebuilds, window of vulnerability",
-	"scrub":        "self-healing grid: patrol scrub and hedged reads vs seeded defects",
-	"failslow":     "fail-slow grid: health quarantine, retries, hedged reads vs a slow member",
-	"cluster":      "fleet grid: 8 arrays × 16 tenants, hash-only vs GC/rebuild-aware routing",
-	"chaos":        "failure-domain grid: whole-array crashes and chaos, unreplicated vs replicated writes",
-	"crashconsist": "crash-consistency grid: power loss mid-write, intent journal vs full-scrub remount",
-}
-
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -108,10 +72,16 @@ func main() {
 // experiments writing reports to stdout and diagnostics to stderr, and
 // returns the process exit code.
 func run(argv []string, stdout, stderr io.Writer) int {
+	var names []string // registry names in run order
+	var accepted []string
+	for _, e := range harness.Experiments {
+		names = append(names, e.Name)
+		accepted = append(append(accepted, e.Name), e.Aliases...)
+	}
 	fs := flag.NewFlagSet("gcsbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "all", "which experiment to run: table1|fig1|fig2|fig7a|fig7b|fig8|fig9|fig10|fig11|raid6|endurance|faults|scrub|failslow|cluster|chaos|crashconsist|all")
+		experiment = fs.String("experiment", "all", "which experiment to run: "+strings.Join(accepted, "|")+"|all")
 		listExps   = fs.Bool("list-experiments", false, "print the experiment registry and exit")
 		requests   = fs.Int("requests", 8000, "requests per workload (scaled-down replay of the Table I traces)")
 		workers    = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
@@ -120,8 +90,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		jsonPath   = fs.String("json", "", "also write results as JSON to this file")
 		tracePath  = fs.String("trace", "", "write the simulation event log (JSONL) of tracing-aware experiments (fig1) to this file")
 		seriesPath = fs.String("timeseries", "", "write the windowed latency time series (CSV) of tracing-aware experiments (fig1) to this file")
-		benchOld   = fs.String("bench-compare", "", "baseline BENCH_*.json: compare the BENCH_*.json named by the positional argument against it and exit non-zero on regression")
-		benchTol   = fs.Float64("bench-tolerance", 0.10, "allowed fractional regression per gated metric before -bench-compare fails")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -130,19 +98,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gcsbench: "+format+"\n", args...)
 		return 1
 	}
-	if *benchOld != "" {
-		if fs.NArg() != 1 {
-			return fail("usage: gcsbench -bench-compare old.json new.json")
-		}
-		return runBenchCompare(*benchOld, fs.Arg(0), *benchTol, stdout, stderr)
-	}
 	if *listExps {
 		// Sorted, so the listing is stable as the registry grows (the run
-		// order of -experiment all stays curated separately).
-		sorted := append([]string(nil), allExperiments...)
-		sort.Strings(sorted)
-		for _, n := range sorted {
-			fmt.Fprintf(stdout, "%-10s %s\n", n, experimentBlurbs[n])
+		// order of -experiment all stays curated in the registry).
+		sorted := append([]harness.Experiment(nil), harness.Experiments...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
+		for _, e := range sorted {
+			fmt.Fprintf(stdout, "%-10s %s\n", e.Name, e.Blurb)
 		}
 		fmt.Fprintf(stdout, "%-10s %s\n", "all", "run every experiment above in sequence")
 		return 0
@@ -150,15 +112,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 
 	// Resolve the experiment list before touching any output file, so a
 	// typo'd -experiment exits cleanly without side effects.
-	names := []string{strings.ToLower(*experiment)}
-	if names[0] == "all" {
-		names = allExperiments
-	}
-	for _, n := range names {
-		if !knownExperiment(n) {
+	if n := strings.ToLower(*experiment); n != "all" {
+		if _, ok := harness.LookupExperiment(n); !ok {
 			return fail("unknown experiment %q (have %s, all; see -list-experiments)",
-				n, strings.Join(allExperiments, ", "))
+				n, strings.Join(names, ", "))
 		}
+		names = []string{n}
 	}
 
 	o := harness.Options{MaxRequests: *requests, Workers: *workers, Seed: *seed, Repeats: *repeats}
@@ -226,89 +185,22 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// knownExperiment reports whether name is a runnable experiment.
-func knownExperiment(name string) bool {
-	switch name {
-	case "fig1", "endurance", "table1", "fig2", "fig7a", "fig7b", "fig7",
-		"fig8", "fig9", "fig10", "fig11", "raid6", "faults", "scrub",
-		"failslow", "cluster", "chaos", "crashconsist":
-		return true
-	}
-	return false
-}
-
 // runOne executes one experiment, renders its report to stdout, and returns
-// its -json entry.
+// its -json entry under the requested name (an alias stays an alias).
 func runOne(name string, o harness.Options, stdout io.Writer) (experimentOut, error) {
 	out := experimentOut{Name: name}
-	text := func(s string, err error) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, s)
-		out.Text = s
-		return nil
-	}
-	grid := func(g *harness.Grid, err error, base string) error {
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, g.Render(base))
-		out.Grid = g
-		return nil
-	}
-	var err error
-	switch name {
-	case "fig1":
-		err = text(harness.Fig1(o))
-	case "endurance":
-		err = text(harness.Endurance(o))
-	case "table1":
-		err = text(harness.Table1(o))
-	case "fig2":
-		err = text(harness.Fig2(o))
-	case "fig7a", "fig7b", "fig7":
-		g, e := harness.Fig7(o)
-		err = grid(g, e, "LGC")
-	case "fig8":
-		g, e := harness.Fig8(o)
-		err = grid(g, e, "5 SSDs")
-	case "fig9":
-		g, e := harness.Fig9(o)
-		err = grid(g, e, "64KB")
-	case "fig10":
-		g, e := harness.Fig10(o)
-		err = grid(g, e, "Reserved")
-	case "fig11":
-		g, e := harness.Fig11(o)
-		err = grid(g, e, "")
-	case "raid6":
-		g, e := harness.RAID6(o)
-		err = grid(g, e, "LGC")
-	case "faults":
-		g, e := harness.Faults(o)
-		err = grid(g, e, "")
-	case "scrub":
-		g, e := harness.Scrub(o)
-		err = grid(g, e, "")
-	case "failslow":
-		g, e := harness.FailSlow(o)
-		err = grid(g, e, "none")
-	case "cluster":
-		g, e := harness.Cluster(o)
-		err = grid(g, e, "hash-only")
-	case "chaos":
-		g, e := harness.Chaos(o)
-		err = grid(g, e, "no-repl")
-	case "crashconsist":
-		g, e := harness.CrashConsist(o)
-		err = grid(g, e, "")
-	default:
-		err = fmt.Errorf("unknown experiment %q", name)
-	}
+	e, _ := harness.LookupExperiment(name)
+	text, g, err := e.Run(o)
 	if err != nil {
 		return out, err
 	}
+	if g != nil {
+		text = g.Render(e.Base)
+		out.Grid = g
+	} else {
+		out.Text = text
+	}
+	fmt.Fprint(stdout, text)
 	fmt.Fprintln(stdout)
 	return out, nil
 }

@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
+
+	"gcsteering/internal/harness"
 )
 
 func TestUnknownExperimentExitsNonZero(t *testing.T) {
@@ -19,9 +22,9 @@ func TestUnknownExperimentExitsNonZero(t *testing.T) {
 		t.Fatalf("stderr %q lacks a clear unknown-experiment message", errb.String())
 	}
 	// The error lists what IS runnable, so a typo is a one-step fix.
-	for _, name := range allExperiments {
-		if !strings.Contains(errb.String(), name) {
-			t.Fatalf("stderr %q does not name experiment %q", errb.String(), name)
+	for _, e := range harness.Experiments {
+		if !strings.Contains(errb.String(), e.Name) {
+			t.Fatalf("stderr %q does not name experiment %q", errb.String(), e.Name)
 		}
 	}
 }
@@ -31,15 +34,15 @@ func TestListExperimentsPrintsRegistry(t *testing.T) {
 	if code := run([]string{"-list-experiments"}, &out, &errb); code != 0 {
 		t.Fatalf("-list-experiments exited %d: %s", code, errb.String())
 	}
-	for _, name := range allExperiments {
-		if !strings.Contains(out.String(), name) {
-			t.Fatalf("registry %q missing experiment %q", out.String(), name)
+	for _, e := range harness.Experiments {
+		if !strings.Contains(out.String(), e.Name) {
+			t.Fatalf("registry %q missing experiment %q", out.String(), e.Name)
 		}
-		if experimentBlurbs[name] == "" {
-			t.Fatalf("experiment %q has no blurb", name)
+		if e.Blurb == "" {
+			t.Fatalf("experiment %q has no blurb", e.Name)
 		}
-		if !strings.Contains(out.String(), experimentBlurbs[name]) {
-			t.Fatalf("registry %q missing blurb for %q", out.String(), name)
+		if !strings.Contains(out.String(), e.Blurb) {
+			t.Fatalf("registry %q missing blurb for %q", out.String(), e.Name)
 		}
 	}
 	if !strings.Contains(out.String(), "all") {
@@ -61,8 +64,8 @@ func TestListExperimentsSorted(t *testing.T) {
 	if !sort.StringsAreSorted(names) {
 		t.Fatalf("registry not sorted: %v", names)
 	}
-	if len(names) != len(allExperiments) {
-		t.Fatalf("registry lists %d experiments, have %d", len(names), len(allExperiments))
+	if len(names) != len(harness.Experiments) {
+		t.Fatalf("registry lists %d experiments, have %d", len(names), len(harness.Experiments))
 	}
 }
 
@@ -131,4 +134,79 @@ func TestTable1Smoke(t *testing.T) {
 	if !strings.Contains(out.String(), "Table I") {
 		t.Fatalf("stdout %q lacks the Table I report", out.String())
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/all_400.json from the current build")
+
+// TestGoldenGrids is the grid regression gate: every experiment, run
+// through the CLI at 400 requests, must reproduce the committed document
+// byte for byte — serially and on a four-worker pool (fixed, so the pool
+// runs even on a one-CPU machine), which also pins that the worker count
+// is pure parallelism. Rerun with -update after a
+// change that is meant to move the numbers.
+func TestGoldenGrids(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	golden := filepath.Join("testdata", "all_400.json")
+	for _, workers := range []string{"1", "4"} {
+		path := filepath.Join(t.TempDir(), "all.json")
+		var out, errb bytes.Buffer
+		argv := []string{"-experiment", "all", "-requests", "400", "-workers", workers, "-json", path}
+		if code := run(argv, &out, &errb); code != 0 {
+			t.Fatalf("-workers %s exited %d: %s", workers, code, errb.String())
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *update && workers == "1" {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("-workers %s: output differs from %s (rerun with -update if the change is intended)", workers, golden)
+		}
+	}
+}
+
+// TestGoldenCrashRowsInterruptWrites guards the golden against a vacuous
+// crash grid: every crash regime must have cut some stripe writes.
+func TestGoldenCrashRowsInterruptWrites(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "all_400.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Experiments []struct {
+			Name string `json:"name"`
+			Grid *struct {
+				Metrics map[string]map[string]map[string]float64 `json:"metrics"`
+			} `json:"grid"`
+		} `json:"experiments"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range doc.Experiments {
+		if e.Name != "crashconsist" {
+			continue
+		}
+		rows := e.Grid.Metrics["dirty stripes (journal scope)"]
+		if len(rows) == 0 {
+			t.Fatal("crashconsist grid has no dirty-stripe rows")
+		}
+		for regime, row := range rows {
+			if row["journal"] <= 0 {
+				t.Errorf("%s: no dirty stripes at the cut (%v)", regime, row)
+			}
+		}
+		return
+	}
+	t.Fatal("golden has no crashconsist experiment")
 }

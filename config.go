@@ -235,17 +235,17 @@ type Config struct {
 	//gcsvet:inert
 	WindowQuantiles bool
 
-	// Fault configures deterministic fault injection, executed only by
-	// System.ReplayWithFaults. The zero value injects nothing.
+	// Fault configures deterministic fault injection, executed by
+	// System.Replay alongside the workload. The zero value injects nothing.
 	Fault FaultPlan
 
 	// PowerLossAtMs, when > 0, cuts the whole array's power at this instant
 	// of simulated time: in-flight page programs tear (persisting garbage
 	// that fails its CRC32-C), in-flight requests are lost, and the run
 	// continues on a remounted array that must resync before (journal on)
-	// or while (journal off) serving the rest of the trace. Executed only by
-	// ReplayWithPowerLoss; <= 0 leaves every other entry point untouched so
-	// default runs stay byte-identical.
+	// or while (journal off) serving the rest of the trace — all within one
+	// System.Replay call. <= 0 leaves the replay untouched so default runs
+	// stay byte-identical.
 	//gcsvet:inert
 	PowerLossAtMs float64
 	// IntentJournal arms the write-ahead dirty-stripe intent journal for
@@ -321,10 +321,26 @@ type FaultPlan struct {
 	// RebuildMBps caps the automatic rebuild bandwidth; <= 0 disables the
 	// rebuild and leaves the array degraded.
 	RebuildMBps float64
-	// RebuildTarget selects the reconstruction workflow: a dedicated spare
-	// or the survivors' reserved space (GC-Steering's parallel workflow).
+	// RebuildTarget selects the reconstruction workflow: a fresh spare or
+	// GC-Steering's staging space.
 	RebuildTarget RebuildTarget
 }
+
+// RebuildTarget selects where reconstruction writes the regenerated data.
+type RebuildTarget int
+
+const (
+	// RebuildToSpare writes to a fresh replacement SSD (the traditional
+	// workflow).
+	RebuildToSpare RebuildTarget = iota
+	// RebuildToStaging makes GC-Steering's staging space the replacement
+	// (§III-D case ②): reserved staging rebuilds in parallel into the
+	// survivors' reserved space, dedicated staging into the staging SSD,
+	// which then joins the array and stages nothing more (a later failure
+	// rebuilds onto a fresh SSD). Redirected write data is reclaimed to
+	// its home disks before the reconstruction starts. SchemeSteering only.
+	RebuildToStaging
+)
 
 // Enabled reports whether the plan injects anything.
 func (p FaultPlan) Enabled() bool {
@@ -414,6 +430,9 @@ func (c Config) Validate() error {
 	if c.Scheme == SchemeSteering && c.Staging == StagingReserved && c.ReservedFrac == 0 {
 		return fmt.Errorf("gcsteering: reserved staging needs ReservedFrac > 0")
 	}
+	if c.Fault.RebuildTarget == RebuildToStaging && c.Scheme != SchemeSteering {
+		return fmt.Errorf("gcsteering: RebuildToStaging needs a staging space (scheme %v has none)", c.Scheme)
+	}
 	if math.IsNaN(c.ScrubMBps) {
 		return fmt.Errorf("gcsteering: ScrubMBps is NaN")
 	}
@@ -458,6 +477,19 @@ func (c Config) Capacity() int64 {
 		DiskPages: c.diskPages(),
 	}
 	return int64(lay.LogicalPages()) * int64(c.Flash.PageSize)
+}
+
+// deviceConfig is the SSD configuration shared by the members, the
+// dedicated staging SSD, and replacements.
+func (c Config) deviceConfig() ssd.Config {
+	return ssd.Config{
+		Geometry:        c.Flash,
+		Latency:         c.Latency,
+		GCLowWater:      c.GCLowWater,
+		GCHighWater:     c.GCHighWater,
+		ForcedGCVictims: c.ForcedGCVictims,
+		GCOverhead:      sim.Time(c.GCOverheadMs * float64(sim.Millisecond)),
+	}
 }
 
 // unitPages is the stripe unit in pages.

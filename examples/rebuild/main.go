@@ -1,9 +1,10 @@
 // Rebuild: fail a member SSD under live load and compare user response
 // times during RAID reconstruction across the paper's Figure 11 variants —
-// the baselines rebuilding to a spare, and GC-Steering rebuilding either to
-// the spare (Dedicated) or in parallel into the survivors' reserved space
-// (Reserved). The failure and the automatic repair are driven by the fault
-// plan (Config.Fault), the same machinery the reliability experiments use.
+// the baselines rebuilding to a spare, and GC-Steering rebuilding into its
+// staging space (§III-D case ②): the dedicated staging SSD (Dedicated) or,
+// in parallel, the survivors' reserved space (Reserved). The failure and
+// the automatic repair are a fault plan (Config.Fault) that Replay
+// executes, the same machinery the reliability experiments use.
 //
 //	go run ./examples/rebuild
 package main
@@ -29,8 +30,8 @@ func main() {
 	variants := []variant{
 		{"LGC + spare", gcsteering.SchemeLGC, gcsteering.StagingReserved, gcsteering.RebuildToSpare},
 		{"GGC + spare", gcsteering.SchemeGGC, gcsteering.StagingReserved, gcsteering.RebuildToSpare},
-		{"Steering/Reserved", gcsteering.SchemeSteering, gcsteering.StagingReserved, gcsteering.RebuildToReserved},
-		{"Steering/Dedicated", gcsteering.SchemeSteering, gcsteering.StagingDedicated, gcsteering.RebuildToSpare},
+		{"Steering/Reserved", gcsteering.SchemeSteering, gcsteering.StagingReserved, gcsteering.RebuildToStaging},
+		{"Steering/Dedicated", gcsteering.SchemeSteering, gcsteering.StagingDedicated, gcsteering.RebuildToStaging},
 	}
 
 	fmt.Printf("Failing SSD %d and reconstructing under the %s workload\n\n", failDisk, workload)
@@ -69,7 +70,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		reb, err := rebSys.ReplayWithFaults(tr)
+		reb, err := rebSys.Replay(tr)
 		if err != nil {
 			log.Fatal(err)
 		}

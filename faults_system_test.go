@@ -11,7 +11,7 @@ func faultConfig(scheme Scheme, plan FaultPlan) Config {
 	return cfg
 }
 
-func replayWithFaults(t *testing.T, cfg Config, wl string, reqs int) (*System, *Results) {
+func replayPlan(t *testing.T, cfg Config, wl string, reqs int) (*System, *Results) {
 	t.Helper()
 	sys, err := New(cfg)
 	if err != nil {
@@ -21,7 +21,7 @@ func replayWithFaults(t *testing.T, cfg Config, wl string, reqs int) (*System, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ReplayWithFaults(tr)
+	res, err := sys.Replay(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestReplayWithFaultsLifecycle(t *testing.T) {
 		RebuildMBps:   100,
 		RebuildTarget: RebuildToSpare,
 	})
-	sys, res := replayWithFaults(t, cfg, "Fin1", 1500)
+	sys, res := replayPlan(t, cfg, "Fin1", 1500)
 	f := res.Fault
 	if !f.Injected {
 		t.Fatal("fault stats not marked Injected")
@@ -80,7 +80,7 @@ func TestReplayWithFaultsLifecycle(t *testing.T) {
 
 func TestReplayWithFaultsSurfacesUREs(t *testing.T) {
 	cfg := faultConfig(SchemeLGC, FaultPlan{UREPerPageRead: 2e-3})
-	sys, res := replayWithFaults(t, cfg, "HPC_R", 1500)
+	sys, res := replayPlan(t, cfg, "HPC_R", 1500)
 	f := res.Fault
 	if f.UREs == 0 {
 		t.Fatal("no latent sector errors surfaced at a 2e-3/page rate")
@@ -111,7 +111,7 @@ func TestDoubleFaultRAID6MidRebuild(t *testing.T) {
 	})
 	cfg.Level = RAID6
 	cfg.Disks = 6
-	sys, res := replayWithFaults(t, cfg, "Fin1", 1500)
+	sys, res := replayPlan(t, cfg, "Fin1", 1500)
 	f := res.Fault
 	if f.Failures != 2 || f.ArrayFailures != 0 {
 		t.Fatalf("fault stats = %+v, want both failures absorbed", f)
@@ -143,7 +143,7 @@ func TestDoubleFaultRAID5ReportsDataLoss(t *testing.T) {
 		RebuildMBps:   2, // far too slow to finish before the second loss
 		RebuildTarget: RebuildToSpare,
 	})
-	_, res := replayWithFaults(t, cfg, "Fin1", 1500)
+	_, res := replayPlan(t, cfg, "Fin1", 1500)
 	f := res.Fault
 	if f.Failures != 1 || f.ArrayFailures != 1 {
 		t.Fatalf("fault stats = %+v, want 1 absorbed + 1 array failure", f)
@@ -172,7 +172,7 @@ func TestReplayWithFaultsDeterministic(t *testing.T) {
 			RebuildTarget:  RebuildToSpare,
 		})
 		cfg.Staging = StagingDedicated
-		_, res := replayWithFaults(t, cfg, "prxy_0", 1500)
+		_, res := replayPlan(t, cfg, "prxy_0", 1500)
 		return res
 	}
 	a, b := run(), run()
@@ -210,7 +210,7 @@ func TestSlowdownStretchesLatency(t *testing.T) {
 		cfg.Fault = FaultPlan{Slowdowns: []DiskSlowdown{
 			{Disk: 0, Channel: -1, StartMs: 0, DurationMs: 1e6, ExtraPerOpUs: 500},
 		}}
-		_, res := replayWithFaults(t, cfg, "HPC_R", 1000)
+		_, res := replayPlan(t, cfg, "HPC_R", 1000)
 		return res
 	}()
 	if slowed.Latency.Mean <= plain.Latency.Mean {

@@ -648,12 +648,7 @@ func (c Config) runShard(idx int, tr trace.Trace, plan gcsteering.FaultPlan, buf
 		}
 		st.lat[seq] = latNs
 	})
-	var r *gcsteering.Results
-	if plan.Enabled() {
-		r, err = sys.ReplayWithFaults(tr)
-	} else {
-		r, err = sys.Replay(tr)
-	}
+	r, err := sys.Replay(tr)
 	if err != nil {
 		return nil, nil, err
 	}

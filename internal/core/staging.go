@@ -102,6 +102,7 @@ type DedicatedStaging struct {
 	readEnd int32
 	reads   *slotPool
 	writes  *slotPool
+	retired bool // the spare joined the array; see Retire
 }
 
 // NewDedicatedStaging uses readFrac of the spare for hot-read copies and
@@ -129,7 +130,7 @@ func (d *DedicatedStaging) Name() string { return "Dedicated" }
 
 // AllocRead implements Staging.
 func (d *DedicatedStaging) AllocRead(now sim.Time, exclude int, requireIdle bool) (StageLoc, bool) {
-	if requireIdle && d.dev.InGC(now) {
+	if d.retired || requireIdle && d.dev.InGC(now) {
 		return StageLoc{}, false
 	}
 	p, ok := d.reads.alloc()
@@ -141,7 +142,7 @@ func (d *DedicatedStaging) AllocRead(now sim.Time, exclude int, requireIdle bool
 
 // AllocWrite implements Staging.
 func (d *DedicatedStaging) AllocWrite(now sim.Time, exclude int, requireIdle bool) (StageLoc, bool) {
-	if requireIdle && d.dev.InGC(now) {
+	if d.retired || requireIdle && d.dev.InGC(now) {
 		return StageLoc{}, false
 	}
 	p, ok := d.writes.alloc()
@@ -184,6 +185,11 @@ func (d *DedicatedStaging) Reserve(loc StageLoc) error {
 
 // SetUnavailable implements Staging (no-op: the spare is outside the array).
 func (d *DedicatedStaging) SetUnavailable(int) {}
+
+// Retire stops all further allocations: the spare has replaced a failed
+// member (§III-D case ②), so its pages now hold stripe units. Entries
+// already staged on it stay readable until the reclaimer drains them.
+func (d *DedicatedStaging) Retire() { d.retired = true }
 
 // FreeReadSlots implements Staging.
 func (d *DedicatedStaging) FreeReadSlots() int { return d.reads.len() }

@@ -56,6 +56,10 @@ type Controller struct {
 	OnFail         func(now sim.Time, disk int)
 	OnRebuildStart func(now sim.Time, disk int)
 	OnRepair       func(now sim.Time, disk int)
+	// Hold, when non-nil, is asked before a due rebuild launches; while it
+	// reports true the launch is retried every millisecond (the facade
+	// reclaims staged write data before rebuilding into the staging space).
+	Hold func(now sim.Time, disk int) bool
 
 	// Trace, when non-nil, receives disk-fail and disk-repair events. The
 	// rebuilders the controller launches inherit it.
@@ -158,6 +162,10 @@ func (c *Controller) startRebuild(now sim.Time) {
 	disk := c.arr.Failed()
 	if disk < 0 { // repaired by other means in the interim
 		c.rebuilding = false
+		return
+	}
+	if c.Hold != nil && c.Hold(now, disk) {
+		c.eng.After(sim.Millisecond, c.startRebuild)
 		return
 	}
 	if c.SinkFor == nil {

@@ -95,7 +95,11 @@ func CrashConsist(o Options) (*Grid, error) {
 							RebuildTarget: gcsteering.RebuildToSpare,
 						}
 					}
-					return gcsteering.ReplayWithPowerLoss(cfg, tr)
+					sys, err = gcsteering.New(cfg)
+					if err != nil {
+						return nil, err
+					}
+					return sys.Replay(tr)
 				},
 				post: func(c Cell, payload any) {
 					r := payload.(*gcsteering.Results)

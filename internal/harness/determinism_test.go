@@ -4,103 +4,12 @@ import (
 	"bytes"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
 	"gcsteering"
 	"gcsteering/internal/cluster"
 )
-
-// TestGridDeterministicAcrossWorkers pins the harness's core contract: each
-// grid cell is a self-contained deterministic simulation, so the worker
-// count is pure parallelism — the same Options must produce the identical
-// Grid whether cells run serially or fanned out.
-func TestGridDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation grid")
-	}
-	serial := tinyOptions()
-	serial.MaxRequests = 400
-	serial.Workers = 1
-	fanned := serial
-	fanned.Workers = runtime.GOMAXPROCS(0)
-
-	gs, err := Fig7(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf, err := Fig7(fanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gs.Mean, gf.Mean) {
-		t.Errorf("primary metric differs across worker counts:\nserial: %v\nfanned: %v", gs.Mean, gf.Mean)
-	}
-	if !reflect.DeepEqual(gs.Aux, gf.Aux) {
-		t.Errorf("aux metrics differ across worker counts")
-	}
-}
-
-// TestFailSlowGridDeterministicAcrossWorkers pins the robustness machinery
-// (health breakers, hedged quarantine reads, retries with backoff) inside
-// the same determinism envelope as the base grids: the fail-slow grid must
-// be identical whether its cells run serially or fanned out.
-func TestFailSlowGridDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation grid")
-	}
-	serial := tinyOptions()
-	serial.MaxRequests = 400
-	serial.Workers = 1
-	fanned := serial
-	fanned.Workers = runtime.GOMAXPROCS(0)
-
-	gs, err := FailSlow(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf, err := FailSlow(fanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gs.Mean, gf.Mean) {
-		t.Errorf("primary metric differs across worker counts:\nserial: %v\nfanned: %v", gs.Mean, gf.Mean)
-	}
-	if !reflect.DeepEqual(gs.Aux, gf.Aux) {
-		t.Errorf("aux metrics differ across worker counts")
-	}
-}
-
-// TestCrashConsistDeterministicAcrossWorkers pins the crash-consistency
-// grid inside the determinism envelope: every cell replays the same trace
-// through a power cut, remount, and resync, so the worker count must be
-// pure parallelism — identical grids serial and fanned out.
-func TestCrashConsistDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation grid")
-	}
-	serial := tinyOptions()
-	serial.MaxRequests = 800
-	serial.Workers = 1
-	fanned := serial
-	fanned.Workers = runtime.GOMAXPROCS(0)
-
-	gs, err := CrashConsist(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf, err := CrashConsist(fanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gs.Mean, gf.Mean) {
-		t.Errorf("primary metric differs across worker counts:\nserial: %v\nfanned: %v", gs.Mean, gf.Mean)
-	}
-	if !reflect.DeepEqual(gs.Aux, gf.Aux) {
-		t.Errorf("aux metrics differ across worker counts")
-	}
-}
 
 // TestClusterDeterministicAcrossShardWorkers pins the fleet layer's
 // determinism contract: shards replay on a bounded worker pool, but the

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -413,28 +412,13 @@ func TestScrubGridSelfHeals(t *testing.T) {
 	}
 }
 
-func TestScrubGridDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation grid")
+func TestLookupExperimentResolvesAliases(t *testing.T) {
+	for _, name := range []string{"fig7a", "fig7b", "fig7"} {
+		if e, ok := LookupExperiment(name); !ok || e.Name != "fig7a" {
+			t.Errorf("LookupExperiment(%q) = %q, %v; want fig7a", name, e.Name, ok)
+		}
 	}
-	serial := tinyOptions()
-	serial.MaxRequests = 1200
-	serial.Workers = 1
-	fanned := serial
-	fanned.Workers = 4
-
-	gs, err := Scrub(serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf, err := Scrub(fanned)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gs.Mean, gf.Mean) {
-		t.Errorf("primary metric differs across worker counts:\nserial: %v\nfanned: %v", gs.Mean, gf.Mean)
-	}
-	if !reflect.DeepEqual(gs.Aux, gf.Aux) {
-		t.Errorf("aux metrics differ across worker counts")
+	if _, ok := LookupExperiment("fig99"); ok {
+		t.Error("unknown experiment resolved")
 	}
 }

@@ -397,6 +397,11 @@ func (a *Array) RepairDisk(replacement Disk) error {
 		if replacement.LogicalPages() < a.lay.DiskPages {
 			return fmt.Errorf("raid: replacement too small")
 		}
+		for i, d := range a.disks {
+			if i != a.failed[0] && d == replacement {
+				return fmt.Errorf("raid: replacement is already member %d", i)
+			}
+		}
 		a.disks[a.failed[0]] = replacement
 		a.bindCaps()
 	}

@@ -390,6 +390,13 @@ func TestFailRepairCycle(t *testing.T) {
 	if err := a.RepairDisk(nil); err == nil {
 		t.Fatal("repair of healthy array accepted")
 	}
+	// One device cannot fill two slots.
+	if err := a.FailDisk(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.RepairDisk(repl); err == nil {
+		t.Fatal("replacement already in slot 2 accepted for slot 0")
+	}
 }
 
 func TestRAID0CannotDegrade(t *testing.T) {

@@ -1,15 +1,12 @@
 package gcsteering
 
 import (
-	"fmt"
 	"sort"
 
 	"gcsteering/internal/fault"
 	"gcsteering/internal/obs"
-	"gcsteering/internal/raid"
 	"gcsteering/internal/scrub"
 	"gcsteering/internal/sim"
-	"gcsteering/internal/trace"
 )
 
 // CrashStats describes one power-loss run: what the cut interrupted, what
@@ -62,13 +59,13 @@ type heldArrival struct {
 	r  Record
 }
 
-// ReplayWithPowerLoss replays the trace through a system whose power is
-// cut at Config.PowerLossAtMs, then remounts and recovers:
+// powerLoss finishes a Replay whose config cuts the power at
+// Config.PowerLossAtMs (the arrivals are already scheduled):
 //
-//  1. The pre-crash system runs normally — with the intent journal armed
-//     (it must exist in both modes: the simulation needs the ground truth
-//     even when recovery is forbidden from using it) and page-program
-//     windows tracked — until the cut. In-flight requests are lost; page
+//  1. The system runs normally until the cut — with the intent journal
+//     armed (New arms it for power-loss configs: the simulation needs the
+//     ground truth even when recovery is forbidden from using it) and
+//     page-program windows tracked. In-flight requests are lost; page
 //     programs straddling the instant tear, persisting garbage that fails
 //     its CRC32-C on read.
 //  2. The array remounts as a fresh identically-seeded system (the same
@@ -93,67 +90,27 @@ type heldArrival struct {
 // sits in staging loses it: the steering directory is volatile in this
 // model. Crash experiments therefore run the LGC scheme; steering crash
 // semantics are future work. Config.ScrubMBps applies only to the
-// pre-crash half: after the remount the resync walk is the scrub.
-//
-// Like Replay, the config is consumed by one call; traces from crash runs
-// are not comparable to healthy-run traces (the clock restarts at the
-// remount).
-func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
-	if cfg.PowerLossAtMs <= 0 {
-		// No cut configured: behave exactly like the plain entry points so
-		// harness call sites can share one path.
-		sys, err := New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Fault.Enabled() {
-			return sys.ReplayWithFaults(tr)
-		}
-		return sys.Replay(tr)
-	}
-	if err := trace.Validate(tr); err != nil {
-		return nil, err
-	}
-	if len(tr) == 0 {
-		return nil, fmt.Errorf("gcsteering: empty trace")
-	}
+// pre-crash half: after the remount the resync walk is the scrub. Requests
+// observed through ObserveRequests are the pre-crash ones only, and traces
+// from crash runs are not comparable to healthy-run traces (the clock
+// restarts at the remount).
+func (s *System) powerLoss(tr Trace) (*Results, error) {
+	cfg := s.cfg
 	crashAt := sim.Time(cfg.PowerLossAtMs * float64(sim.Millisecond))
-
-	// --- Phase 1: run to the cut. ---
-	sysA, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	sysA.arr.Intents = &raid.IntentLog{Journaled: cfg.IntentJournal}
-	for _, d := range sysA.devs {
-		d.TrackPrograms = true
-	}
-	if cfg.Fault.Enabled() {
-		ctl, err := sysA.armFaults(cfg.Fault.plan(cfg.Seed))
-		if err != nil {
-			return nil, err
-		}
-		ctl.Start()
-	}
-	if err := sysA.startScrub(); err != nil {
-		return nil, err
-	}
-	sysA.measuring = true
-	sysA.scheduleArrivals(tr)
-	sysA.eng.RunUntil(crashAt)
+	s.eng.RunUntil(crashAt)
 
 	// --- Harvest the crash state. ---
-	intents := sysA.arr.OpenIntents()
-	lay := sysA.arr.Layout()
+	intents := s.arr.OpenIntents()
+	lay := s.arr.Layout()
 	unitPages := lay.UnitPages
 	diskPages := lay.DiskPages
 
 	// Torn pages per device, restricted to the array region: a program in
 	// the reserved tail (staging, rebuild reserve) that tears is simply
 	// lost with the volatile steering state it backed.
-	tornByDev := make([][]int, len(sysA.devs))
+	tornByDev := make([][]int, len(s.devs))
 	tornPages := 0
-	for d, dev := range sysA.devs {
+	for d, dev := range s.devs {
 		for _, lpn := range dev.TornPrograms(crashAt) {
 			if lpn >= diskPages {
 				continue
@@ -210,45 +167,45 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 		Enabled:             true,
 		Journaled:           cfg.IntentJournal,
 		CrashAt:             crashAt,
-		PreCrashRequests:    int64(sysA.lat.Count()),
-		PreCrash:            sysA.lat.Summarize(),
-		InFlightLost:        sysA.inFlight,
+		PreCrashRequests:    int64(s.lat.Count()),
+		PreCrash:            s.lat.Summarize(),
+		InFlightLost:        s.inFlight,
 		DirtyStripes:        len(dirtyOrder),
 		TornPages:           tornPages,
 		InconsistentStripes: len(inconsistent),
 		ServedDuringResync:  !cfg.IntentJournal,
 	}
-	if sysA.trace.Enabled() {
-		sysA.trace.Emit(crashAt, obs.Event{Kind: obs.KPowerLoss, Dev: -1, Page: -1,
+	if s.trace.Enabled() {
+		s.trace.Emit(crashAt, obs.Event{Kind: obs.KPowerLoss, Dev: -1, Page: -1,
 			Aux: int64(crash.DirtyStripes), Aux2: int64(crash.InFlightLost)})
 		for d, pages := range tornByDev {
 			for _, lpn := range pages {
-				sysA.trace.Emit(crashAt, obs.Event{Kind: obs.KTornWrite, Dev: int32(d),
+				s.trace.Emit(crashAt, obs.Event{Kind: obs.KTornWrite, Dev: int32(d),
 					Page: int64(lpn), Pages: 1, Aux: int64(lpn / unitPages)})
 			}
 		}
 	}
 
-	// --- Phase 2: remount, resync, serve the rest of the trace. ---
-	cfgB := cfg
-	cfgB.Fault = cfg.Fault.shiftPast(crashAt)
-	sysB, err := New(cfgB)
+	// --- Remount, resync, serve the rest of the trace. ---
+	remount := cfg
+	remount.PowerLossAtMs = 0 // the remount runs to completion
+	remount.ScrubMBps = 0     // its resync walk is the scrub
+	remount.Fault = cfg.Fault.shiftPast(crashAt)
+	sysB, err := New(remount)
 	if err != nil {
+		return nil, err
+	}
+	if err := sysB.start(); err != nil {
 		return nil, err
 	}
 	// The remounted members need fault hooks even without a fault plan:
 	// the torn pages are installed as CRC-failing defects. With a plan,
 	// the controller owns the injectors; Tear goes through its set.
 	var injs []*fault.Injector
-	if cfgB.Fault.Enabled() {
-		ctl, err := sysB.armFaults(cfgB.Fault.plan(cfgB.Seed))
-		if err != nil {
-			return nil, err
-		}
-		ctl.Start()
-		injs = ctl.Injectors()
+	if sysB.faults != nil {
+		injs = sysB.faults.Injectors()
 	} else {
-		injs = fault.Install(sysB.devs, cfgB.Fault.plan(cfgB.Seed))
+		injs = fault.Install(sysB.devs, remount.Fault.plan(remount.Seed))
 	}
 	for d, pages := range tornByDev {
 		injs[d].Tear(pages)
@@ -285,46 +242,26 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 		}
 	}
 
-	sysB.measuring = true
-	var held []heldArrival
-	gateOpen := !cfg.IntentJournal // journal off: serve during the walk
+	if cfg.IntentJournal {
+		sysB.resyncing = true // hold arrivals; journal off serves during the walk
+	}
 	rs.OnComplete = func(now sim.Time) {
 		crash.ResyncDuration = now
-		if gateOpen {
-			return
+		if sysB.resyncing {
+			sysB.releaseHeld(now)
 		}
-		gateOpen = true
-		for _, h := range held {
-			sysB.arrivalLag = int64(now - h.at)
-			sysB.submit(now, h.r)
-		}
-		sysB.arrivalLag = 0
-		held = nil
+	}
+	if fn := s.onRequest; fn != nil {
+		// Suffix requests continue the pre-cut submission indices.
+		base := s.reqSeq
+		sysB.onRequest = func(seq, latNs int64, rejected bool) { fn(base+seq, latNs, rejected) }
 	}
 	rs.Start(0)
-	if len(suffix) > 0 {
-		i := 0
-		var step func(now sim.Time)
-		step = func(now sim.Time) {
-			if gateOpen {
-				sysB.submit(now, suffix[i])
-			} else {
-				held = append(held, heldArrival{at: now, r: suffix[i]})
-			}
-			if i+1 < len(suffix) {
-				i++
-				sysB.eng.At(suffix[i].Timestamp, step)
-			}
-		}
-		sysB.eng.At(suffix[0].Timestamp, step)
-	}
+	sysB.scheduleArrivals(suffix)
 	sysB.eng.Run()
-	sysB.drainSteering()
-	if sysB.faults != nil {
-		sysB.faults.Finish(sysB.eng.Now())
-		if err := sysB.faults.Err(); err != nil {
-			return nil, err
-		}
+	res, err := sysB.finish()
+	if err != nil {
+		return nil, err
 	}
 
 	st := rs.Stats()
@@ -333,7 +270,6 @@ func ReplayWithPowerLoss(cfg Config, tr Trace) (*Results, error) {
 	crash.ResyncTornUnits = st.TornUnitsRepaired
 	crash.ResyncPagesRead = st.PagesRead
 	crash.ResyncPagesWritten = st.PagesWritten
-	res := sysB.results()
 	res.Crash = crash
 	return res, nil
 }

@@ -3,6 +3,8 @@ package gcsteering
 import (
 	"bytes"
 	"testing"
+
+	"gcsteering/internal/sim"
 )
 
 // crashTrace generates the shared write-heavy workload the crash tests
@@ -19,6 +21,17 @@ func crashTrace(t *testing.T, cfg Config, reqs int) Trace {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// replayCut builds a system from cfg and replays tr through it, power cut
+// included when cfg sets one.
+func replayCut(t *testing.T, cfg Config, tr Trace) (*Results, error) {
+	t.Helper()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.Replay(tr)
 }
 
 // crashSweepInstants are the power-cut instants (ms) the pinned sweeps
@@ -39,7 +52,7 @@ func TestPowerLossJournalOnSweep(t *testing.T) {
 	for _, at := range crashSweepInstants {
 		c := cfg
 		c.PowerLossAtMs = at
-		res, err := ReplayWithPowerLoss(c, tr)
+		res, err := replayCut(t, c, tr)
 		if err != nil {
 			t.Fatalf("crash at %vms: %v", at, err)
 		}
@@ -89,7 +102,7 @@ func TestPowerLossJournalOffSweep(t *testing.T) {
 	for _, at := range crashSweepInstants {
 		c := cfg
 		c.PowerLossAtMs = at
-		res, err := ReplayWithPowerLoss(c, tr)
+		res, err := replayCut(t, c, tr)
 		if err != nil {
 			t.Fatalf("crash at %vms: %v", at, err)
 		}
@@ -132,7 +145,7 @@ func TestPowerLossDeterministic(t *testing.T) {
 		var buf bytes.Buffer
 		cfg.Trace = NewTracer(&buf)
 		tr := crashTrace(t, cfg, 1200)
-		res, err := ReplayWithPowerLoss(cfg, tr)
+		res, err := replayCut(t, cfg, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,19 +167,57 @@ func TestPowerLossDeterministic(t *testing.T) {
 	}
 }
 
+// TestPowerLossObserveRequests: the request hook spans the cut. Every
+// request fires at most once, under its trace index, and the requests
+// served after the remount fire under theirs.
+func TestPowerLossObserveRequests(t *testing.T) {
+	cfg := smallConfig(SchemeLGC)
+	cfg.IntentJournal = true
+	cfg.PowerLossAtMs = 9
+	tr := crashTrace(t, cfg, 1200)
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[int64]bool)
+	sys.ObserveRequests(func(seq, latNs int64, rejected bool) {
+		if seq < 0 || seq >= int64(len(tr)) || seen[seq] {
+			t.Fatalf("seq %d out of range or fired twice", seq)
+		}
+		seen[seq] = true
+	})
+	res, err := sys.Replay(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := sim.Time(cfg.PowerLossAtMs * float64(sim.Millisecond))
+	pre, post := 0, 0
+	for seq := range seen {
+		if tr[seq].Timestamp > cut {
+			post++
+		} else {
+			pre++
+		}
+	}
+	if pre == 0 || uint64(post) != res.Latency.Count {
+		t.Fatalf("hook fired %d pre-cut and %d post-cut requests; %d served after the remount",
+			pre, post, res.Latency.Count)
+	}
+}
+
 // TestPowerLossKnobsInert pins the zero-cost guarantee: with PowerLossAtMs
-// unset, the crash-consistency knobs change nothing — the trace is byte
-// identical to a run without them, and ReplayWithPowerLoss falls through
-// to the plain replay path.
+// = 0, Replay is a plain replay and the crash-consistency knobs change
+// nothing — the trace is byte identical to a run without them.
 func TestPowerLossKnobsInert(t *testing.T) {
 	run := func(journal bool, resync float64) string {
 		cfg := smallConfig(SchemeLGC)
+		cfg.PowerLossAtMs = 0
 		cfg.IntentJournal = journal
 		cfg.ResyncMBps = resync
 		var buf bytes.Buffer
 		cfg.Trace = NewTracer(&buf)
 		tr := crashTrace(t, cfg, 800)
-		if _, err := ReplayWithPowerLoss(cfg, tr); err != nil {
+		if _, err := replayCut(t, cfg, tr); err != nil {
 			t.Fatal(err)
 		}
 		if err := cfg.Trace.Flush(); err != nil {
@@ -195,7 +246,7 @@ func TestPowerLossDuringRebuild(t *testing.T) {
 		RebuildTarget: RebuildToSpare,
 	}
 	tr := crashTrace(t, cfg, 2000)
-	res, err := ReplayWithPowerLoss(cfg, tr)
+	res, err := replayCut(t, cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

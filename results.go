@@ -42,11 +42,8 @@ type Results struct {
 	Steering      SteeringStats
 	RedirectRatio float64
 
-	// RebuildDuration is non-zero for ReplayDuringRebuild runs.
-	RebuildDuration Time
-
-	// Fault carries the reliability measurements of a ReplayWithFaults run
-	// (Injected is false for plain replays).
+	// Fault carries the reliability measurements of a run with a fault
+	// plan (Injected is false when Config.Fault is empty).
 	Fault FaultStats
 
 	// Integrity carries the end-to-end checksum and hedged-read counters
@@ -93,10 +90,10 @@ type Results struct {
 	// faster — the reliability angle of §II-A.
 	Wear WearStats
 
-	// Crash carries the power-loss and recovery accounting of a
-	// ReplayWithPowerLoss run (Enabled is false for every other entry
-	// point). For crash runs the top-level latency fields describe the
-	// post-crash period; Crash.PreCrash holds the pre-cut summary.
+	// Crash carries the power-loss and recovery accounting of a run with
+	// Config.PowerLossAtMs set (Enabled is false otherwise). For crash runs
+	// the top-level latency fields describe the post-crash period;
+	// Crash.PreCrash holds the pre-cut summary.
 	Crash CrashStats
 }
 
@@ -217,7 +214,7 @@ type RobustStats struct {
 // FaultStats aggregates the reliability measurements of one fault-injected
 // run: what the fault plan did to the array and what it cost.
 type FaultStats struct {
-	// Injected marks results produced by ReplayWithFaults.
+	// Injected marks results of a run that executed a fault plan.
 	Injected bool
 	// Failures counts whole-device losses the RAID level absorbed;
 	// ArrayFailures those beyond its tolerance (the array was lost).
@@ -371,11 +368,9 @@ func (r *Results) String() string {
 	if r.Scheme == SchemeSteering {
 		fmt.Fprintf(&b, " redirect=%.1f%%", 100*r.RedirectRatio)
 	}
-	if r.RebuildDuration > 0 {
-		fmt.Fprintf(&b, " rebuild=%v", r.RebuildDuration)
-	}
 	if r.Fault.Injected {
-		fmt.Fprintf(&b, " wov=%v loss=%d", r.Fault.WindowOfVulnerability, r.Fault.DataLossEvents)
+		fmt.Fprintf(&b, " wov=%v rebuild=%v loss=%d",
+			r.Fault.WindowOfVulnerability, r.Fault.RebuildTime, r.Fault.DataLossEvents)
 	}
 	if r.ScrubEnabled {
 		fmt.Fprintf(&b, " scrubbed=%d repaired=%d", r.Scrub.StripesScanned, r.Scrub.UnitsRepaired)

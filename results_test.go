@@ -17,7 +17,7 @@ func TestResultsStringFormats(t *testing.T) {
 			t.Fatalf("String() = %q missing %q", s, want)
 		}
 	}
-	r2 := &Results{Scheme: SchemeLGC, RebuildDuration: Time(2e9)}
+	r2 := &Results{Scheme: SchemeLGC, Fault: FaultStats{Injected: true, RebuildTime: Time(2e9)}}
 	if s := r2.String(); !strings.Contains(s, "rebuild=") || strings.Contains(s, "redirect") {
 		t.Fatalf("LGC String() = %q", s)
 	}

@@ -50,7 +50,7 @@ func TestScrubRepairsSeededDefects(t *testing.T) {
 	})
 	cfg.Checksums = true
 	cfg.ScrubMBps = 50
-	_, res := replayWithFaults(t, cfg, "Fin1", 2000)
+	_, res := replayPlan(t, cfg, "Fin1", 2000)
 	if !res.ScrubEnabled {
 		t.Fatal("scrub did not run")
 	}
@@ -74,7 +74,7 @@ func TestScrubReducesRebuildUREs(t *testing.T) {
 		cfg := faultConfig(SchemeLGC, selfHealPlan())
 		cfg.Checksums = true
 		cfg.ScrubMBps = scrubMBps
-		_, res := replayWithFaults(t, cfg, "Fin1", 3000)
+		_, res := replayPlan(t, cfg, "Fin1", 3000)
 		return res
 	}
 	base := run(0)
@@ -106,7 +106,7 @@ func TestHedgedReadsEngageOnFailSlow(t *testing.T) {
 	run := func(hedge bool) *Results {
 		cfg := faultConfig(SchemeLGC, plan)
 		cfg.HedgedReads = hedge
-		_, res := replayWithFaults(t, cfg, "HPC_R", 1500)
+		_, res := replayPlan(t, cfg, "HPC_R", 1500)
 		return res
 	}
 	off := run(false)
@@ -137,7 +137,7 @@ func TestSelfHealTraceDeterministic(t *testing.T) {
 		cfg.HedgedReads = true
 		cfg.ScrubMBps = 100
 		cfg.Trace = NewTracer(&buf)
-		replayWithFaults(t, cfg, "Fin1", 1500)
+		replayPlan(t, cfg, "Fin1", 1500)
 		if err := cfg.Trace.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestChecksumsDetectSilentCorruption(t *testing.T) {
 	run := func(verify bool) *Results {
 		cfg := faultConfig(SchemeLGC, plan)
 		cfg.Checksums = verify
-		_, res := replayWithFaults(t, cfg, "HPC_R", 2000)
+		_, res := replayPlan(t, cfg, "HPC_R", 2000)
 		return res
 	}
 	off := run(false)

@@ -69,7 +69,7 @@ type System struct {
 	hub   *sched.Hub
 	ggc   *sched.GGC
 	steer *core.Steering
-	spare *ssd.Device // dedicated staging and/or rebuild spare
+	spare *ssd.Device // dedicated staging SSD (the RebuildToStaging replacement)
 
 	lat       metrics.Hist
 	readLat   metrics.Hist
@@ -87,16 +87,19 @@ type System struct {
 	reqSeq    int64
 	inFlight  int
 
-	// arrivalLag, normally zero, is the stall a power-loss replay charges
-	// the next submitted request: a request that arrived while the
-	// remounted array was still resyncing is submitted at gate-open with
-	// the wait folded into its recorded response time.
+	// resyncing holds arrivals back while a remounted array runs its
+	// journal-on resync (see powerloss.go): the arrival streamer queues
+	// them in held, and releaseHeld submits them once the walk completes.
+	// arrivalLag, normally zero, is the wait a released request is
+	// charged: its response time counts from its arrival, not the release.
+	resyncing  bool
+	held       []heldArrival
 	arrivalLag int64
 
 	deadlineHits int64 // requests cancelled at their deadline
 	rejected     int64 // requests refused by admission control
 
-	faults   *fault.Controller // non-nil for ReplayWithFaults runs
+	faults   *fault.Controller // non-nil when Config.Fault is enabled
 	scrubber *scrub.Scrubber   // non-nil when Config.ScrubMBps > 0
 	health   *health.Monitor   // non-nil when Config.Quarantine
 	nrepl    int               // replacement SSDs created so far (device IDs)
@@ -105,13 +108,6 @@ type System struct {
 	// onRequest, when set via ObserveRequests, fires once per submitted
 	// request as it settles (completes, hits its deadline, or is rejected).
 	onRequest func(seq int64, latNs int64, rejected bool)
-
-	// measuring gates response-time recording; ReplayDuringRebuild stops
-	// recording when reconstruction completes so the results describe the
-	// recovery period, as the paper's Fig. 11 does.
-	measuring       bool
-	rebuildActive   bool
-	rebuildDuration sim.Time
 }
 
 // New builds and warms up a system.
@@ -140,14 +136,7 @@ func New(cfg Config) (*System, error) {
 			s.rec.SetGauge("engine_pending", int64(now), float64(pending))
 		})
 	}
-	devCfg := ssd.Config{
-		Geometry:        cfg.Flash,
-		Latency:         cfg.Latency,
-		GCLowWater:      cfg.GCLowWater,
-		GCHighWater:     cfg.GCHighWater,
-		ForcedGCVictims: cfg.ForcedGCVictims,
-		GCOverhead:      sim.Time(cfg.GCOverheadMs * float64(sim.Millisecond)),
-	}
+	devCfg := cfg.deviceConfig()
 	//lint:allow nodeterm root stream: every per-device seed below derives from Config.Seed through it
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Disks; i++ {
@@ -262,6 +251,15 @@ func New(cfg Config) (*System, error) {
 		}
 		s.health = mon
 	}
+	if cfg.PowerLossAtMs > 0 {
+		// The cut needs the ground truth of what it interrupted, even when
+		// recovery may not use it: every stripe write is journaled, and
+		// page-program windows are tracked so in-flight programs can tear.
+		arr.Intents = &raid.IntentLog{Journaled: cfg.IntentJournal}
+		for _, d := range s.devs {
+			d.TrackPrograms = true
+		}
+	}
 	return s, nil
 }
 
@@ -291,7 +289,7 @@ func (s *System) buildStaging(rng *rand.Rand) (core.Staging, error) {
 		reserved -= s.rebuildReservePages()
 		return core.NewReservedStaging(s.disks, s.cfg.diskPages(), reserved, s.cfg.StagingReadFrac)
 	case StagingDedicated:
-		spare, err := s.ensureSpare(rng.Int63())
+		spare, err := s.newSpare(rng.Int63())
 		if err != nil {
 			return nil, err
 		}
@@ -301,20 +299,9 @@ func (s *System) buildStaging(rng *rand.Rand) (core.Staging, error) {
 	}
 }
 
-// ensureSpare lazily creates the spare SSD.
-func (s *System) ensureSpare(seed int64) (*ssd.Device, error) {
-	if s.spare != nil {
-		return s.spare, nil
-	}
-	devCfg := ssd.Config{
-		Geometry:        s.cfg.Flash,
-		Latency:         s.cfg.Latency,
-		GCLowWater:      s.cfg.GCLowWater,
-		GCHighWater:     s.cfg.GCHighWater,
-		ForcedGCVictims: s.cfg.ForcedGCVictims,
-		GCOverhead:      sim.Time(s.cfg.GCOverheadMs * float64(sim.Millisecond)),
-	}
-	spare, err := ssd.New(s.cfg.Disks, s.eng, devCfg)
+// newSpare creates the dedicated staging SSD.
+func (s *System) newSpare(seed int64) (*ssd.Device, error) {
+	spare, err := ssd.New(s.cfg.Disks, s.eng, s.cfg.deviceConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -365,26 +352,22 @@ func (s *System) submit(now sim.Time, r Record) {
 		page = total - pages
 	}
 	s.inFlight++
-	record := s.measuring
-	degraded := record && s.arr.Degraded()
-	inGC := false
-	if record {
-		// Classify the request's phase at arrival (degraded wins over GC)
-		// and sample the phase-describing gauges on the same window grid.
-		n := 0
-		for _, d := range s.devs {
-			if d.InGC(now) {
-				n++
-			}
+	// Classify the request's phase at arrival (degraded wins over GC) and
+	// sample the phase-describing gauges on the same window grid.
+	degraded := s.arr.Degraded()
+	n := 0
+	for _, d := range s.devs {
+		if d.InGC(now) {
+			n++
 		}
-		inGC = n > 0
-		s.gcGauge.Set(int64(now), float64(n))
-		if s.steer != nil {
-			s.stGauge.Set(int64(now), float64(s.steer.Staging().FreeWriteSlots()))
-		}
-		if s.cfg.QueueLimit > 0 {
-			s.inflGauge.Set(int64(now), float64(s.inFlight))
-		}
+	}
+	inGC := n > 0
+	s.gcGauge.Set(int64(now), float64(n))
+	if s.steer != nil {
+		s.stGauge.Set(int64(now), float64(s.steer.Staging().FreeWriteSlots()))
+	}
+	if s.cfg.QueueLimit > 0 {
+		s.inflGauge.Set(int64(now), float64(s.inFlight))
 	}
 	seq := s.reqSeq
 	s.reqSeq++
@@ -410,7 +393,7 @@ func (s *System) submit(now sim.Time, r Record) {
 			s.trace.Emit(t, obs.Event{Kind: obs.KComplete, Dev: -1, Page: -1,
 				Aux: d, Aux2: seq})
 		}
-		s.settleRequest(now, seq, d, isWrite, record, degraded, inGC)
+		s.settleRequest(now, seq, d, isWrite, degraded, inGC)
 	}
 	var tok *raid.Cancel
 	deadline := sim.Time(s.cfg.DeadlineUs * float64(sim.Microsecond))
@@ -432,7 +415,7 @@ func (s *System) submit(now sim.Time, r Record) {
 			}
 			// The requester gave up at the deadline, so that is the
 			// user-visible response time.
-			s.settleRequest(now, seq, int64(deadline)+lag, isWrite, record, degraded, inGC)
+			s.settleRequest(now, seq, int64(deadline)+lag, isWrite, degraded, inGC)
 		})
 	}
 	var err error
@@ -468,13 +451,10 @@ func (s *System) submit(now sim.Time, r Record) {
 // phase it was classified into at arrival. now is the arrival instant (the
 // time-series window the request belongs to), d the response time in
 // nanoseconds.
-func (s *System) settleRequest(now sim.Time, seq, d int64, isWrite, record, degraded, inGC bool) {
+func (s *System) settleRequest(now sim.Time, seq, d int64, isWrite, degraded, inGC bool) {
 	s.inFlight--
 	if s.onRequest != nil {
 		s.onRequest(seq, d, false)
-	}
-	if !record {
-		return
 	}
 	s.lat.Observe(d)
 	s.rec.Observe(int64(now), d)
@@ -520,7 +500,20 @@ func (s *System) startScrub() error {
 }
 
 // Replay drives the trace through the system open-loop (arrivals at trace
-// timestamps) and runs to quiescence, returning the measured results.
+// timestamps) and runs to quiescence, returning the measured results. It
+// is the one way to run a trace; the Config decides what else happens
+// during the run:
+//
+//   - Config.Fault, when enabled, is executed alongside the workload:
+//     scheduled whole-device failures, latent sector errors, latency
+//     spikes, and — when the plan caps a rebuild bandwidth — automatic
+//     repair-and-rebuild into the plan's RebuildTarget. Results.Fault
+//     carries the reliability measurements.
+//   - Config.ScrubMBps runs the patrol scrubber.
+//   - Config.PowerLossAtMs cuts the power mid-trace; the call then
+//     remounts, resyncs and serves the rest of the trace (see powerloss.go)
+//     and Results.Crash carries the crash and recovery accounting.
+//
 // Replay may be called once per System; build a fresh System per run.
 func (s *System) Replay(tr Trace) (*Results, error) {
 	if err := trace.Validate(tr); err != nil {
@@ -529,13 +522,38 @@ func (s *System) Replay(tr Trace) (*Results, error) {
 	if len(tr) == 0 {
 		return nil, fmt.Errorf("gcsteering: empty trace")
 	}
-	if err := s.startScrub(); err != nil {
+	if err := s.start(); err != nil {
 		return nil, err
 	}
-	s.measuring = true
 	s.scheduleArrivals(tr)
+	if s.cfg.PowerLossAtMs > 0 {
+		return s.powerLoss(tr)
+	}
 	s.eng.Run()
+	return s.finish()
+}
+
+// start arms what the config runs alongside the workload: the fault plan
+// and the patrol scrubber.
+func (s *System) start() error {
+	if s.cfg.Fault.Enabled() {
+		if err := s.armFaults(); err != nil {
+			return err
+		}
+	}
+	return s.startScrub()
+}
+
+// finish flushes the staging space after the engine drained, closes the
+// fault books, and snapshots the results.
+func (s *System) finish() (*Results, error) {
 	s.drainSteering()
+	if s.faults != nil {
+		s.faults.Finish(s.eng.Now())
+		if err := s.faults.Err(); err != nil {
+			return nil, err
+		}
+	}
 	return s.results(), nil
 }
 
@@ -543,7 +561,9 @@ func (s *System) Replay(tr Trace) (*Results, error) {
 // time (scheduling all arrivals up front would bloat the event queue). A
 // single closure advances a captured cursor, rather than one closure per
 // arrival; the submit-then-schedule order matches the old recursive shape,
-// so event sequence numbers — and therefore traces — are unchanged.
+// so event sequence numbers — and therefore traces — are unchanged. While
+// a remounted array resyncs with the journal on, arrivals are held back
+// instead of submitted (see releaseHeld).
 //
 // Hot root: the cursor closure re-fires once per trace request, so
 // everything it reaches is replay steady-state. hotalloc enforcing this
@@ -551,17 +571,36 @@ func (s *System) Replay(tr Trace) (*Results, error) {
 //
 //gcsvet:hot
 func (s *System) scheduleArrivals(tr Trace) {
+	if len(tr) == 0 {
+		return
+	}
 	base := s.eng.Now()
 	i := 0
 	var step func(now sim.Time)
 	step = func(now sim.Time) { //lint:allow hotalloc one cursor closure per replay, re-armed per arrival rather than reallocated
-		s.submit(now, tr[i])
+		if s.resyncing {
+			s.held = append(s.held, heldArrival{at: now, r: tr[i]})
+		} else {
+			s.submit(now, tr[i])
+		}
 		if i+1 < len(tr) {
 			i++
 			s.eng.At(base+tr[i].Timestamp, step)
 		}
 	}
 	s.eng.At(base+tr[0].Timestamp, step)
+}
+
+// releaseHeld ends the resync hold: arrivals held back during the walk are
+// submitted now, each charged its wait.
+func (s *System) releaseHeld(now sim.Time) {
+	s.resyncing = false
+	for _, h := range s.held {
+		s.arrivalLag = int64(now - h.at)
+		s.submit(now, h.r)
+	}
+	s.arrivalLag = 0
+	s.held = nil
 }
 
 // drainSteering flushes redirected write data back after the run so the
@@ -574,167 +613,12 @@ func (s *System) drainSteering() {
 	s.eng.Run()
 }
 
-// RebuildTarget selects where reconstruction writes the regenerated data.
-type RebuildTarget int
-
-const (
-	// RebuildToSpare writes to a dedicated replacement SSD (the
-	// traditional workflow, used by the baselines and by GC-Steering
-	// Dedicated in Fig. 11).
-	RebuildToSpare RebuildTarget = iota
-	// RebuildToReserved writes in parallel into the reserved space of the
-	// survivors (GC-Steering Reserved's parallel reconstruction).
-	RebuildToReserved
-)
-
-// ReplayDuringRebuild fails member failDisk at time zero, starts
-// reconstruction at bandwidthMBps into the selected target, and replays
-// the trace concurrently. The returned results carry the user-visible
-// response times during recovery plus the rebuild duration.
-func (s *System) ReplayDuringRebuild(tr Trace, failDisk int, bandwidthMBps float64, target RebuildTarget) (*Results, error) {
-	if err := trace.Validate(tr); err != nil {
-		return nil, err
-	}
-	if len(tr) == 0 {
-		return nil, fmt.Errorf("gcsteering: empty trace")
-	}
-	if err := s.arr.FailDisk(failDisk); err != nil {
-		return nil, err
-	}
-	var sink rebuild.Sink
-	switch target {
-	case RebuildToSpare:
-		spare, err := s.ensureSpare(s.cfg.Seed + 13)
-		if err != nil {
-			return nil, err
-		}
-		sink = &rebuild.SpareSink{Disk: spare}
-	case RebuildToReserved:
-		var survivors []raid.Disk
-		for d, disk := range s.disks {
-			if d != failDisk {
-				survivors = append(survivors, disk)
-			}
-		}
-		reserve := s.rebuildReservePages()
-		if reserve < s.arr.Layout().UnitPages {
-			return nil, fmt.Errorf("gcsteering: no reserved space for parallel rebuild (configure reserved staging with a large enough ReservedFrac)")
-		}
-		base := s.cfg.Flash.LogicalPages() - reserve
-		var err error
-		sink, err = rebuild.NewReservedSink(survivors, base, reserve)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("gcsteering: unknown rebuild target %v", target)
-	}
-	rb, err := rebuild.New(s.eng, s.arr, sink, bandwidthMBps, s.cfg.Flash.PageSize)
+// armFaults builds, wires and starts the fault controller for the
+// configured plan.
+func (s *System) armFaults() error {
+	ctl, err := fault.NewController(s.eng, s.arr, s.devs, s.cfg.Fault.plan(s.cfg.Seed), s.cfg.Flash.PageSize)
 	if err != nil {
-		return nil, err
-	}
-	rb.Trace = s.trace
-	reclaimFirst := false
-	if s.steer != nil {
-		s.steer.SetFailedHome(failDisk)
-		if s.cfg.Staging == StagingReserved {
-			// The failed member's staged copies are gone with it.
-			s.steer.Staging().SetUnavailable(failDisk)
-			s.steer.DropStagedOn(int32(failDisk))
-		}
-		// §III-D case ②: when the staging space acts as the replacement,
-		// previously redirected write data is reclaimed back before the
-		// reconstruction starts.
-		reclaimFirst = target == RebuildToReserved && s.steer.DTable().WriteLen() > 0
-	}
-	start := s.eng.Now()
-	s.rebuildActive = true
-	if s.busy != nil {
-		s.busy.note(BusyRebuild, -1, start, true)
-	}
-	rb.OnComplete = func(now sim.Time) {
-		s.rebuildDuration = now - start
-		s.rebuildActive = false
-		if s.busy != nil {
-			s.busy.note(BusyRebuild, -1, now, false)
-		}
-		// Stop recording: Fig. 11 reports the response time *during* the
-		// reconstruction, not the quiet period after it.
-		s.measuring = false
-		if s.steer != nil {
-			s.steer.Staging().SetUnavailable(-1)
-			s.steer.SetFailedHome(-1)
-			s.steer.SetRebuilding(now, false)
-		}
-	}
-	s.measuring = true
-	if reclaimFirst {
-		s.steer.DrainAll(start)
-		var await func(now sim.Time)
-		await = func(now sim.Time) {
-			if s.steer.Draining() {
-				s.eng.After(sim.Millisecond, await)
-				return
-			}
-			s.steer.SetRebuilding(now, true)
-			rb.Start(now)
-		}
-		s.eng.Defer(await)
-	} else {
-		if s.steer != nil {
-			s.steer.SetRebuilding(start, true)
-		}
-		rb.Start(start)
-	}
-	s.scheduleArrivals(tr)
-	s.eng.Run()
-	s.drainSteering()
-	res := s.results()
-	res.RebuildDuration = s.rebuildDuration
-	return res, nil
-}
-
-// ReplayWithFaults replays the trace while executing the configured fault
-// plan (Config.Fault): scheduled whole-device failures, latent sector
-// errors, latency spikes, and — when the plan caps a rebuild bandwidth —
-// automatic repair-and-rebuild into the plan's RebuildTarget. The results
-// carry the reliability measurements (window of vulnerability, rebuild
-// time, degraded-mode latency, data-loss events) in Results.Fault.
-//
-// Like Replay, call it once per System.
-func (s *System) ReplayWithFaults(tr Trace) (*Results, error) {
-	if err := trace.Validate(tr); err != nil {
-		return nil, err
-	}
-	if len(tr) == 0 {
-		return nil, fmt.Errorf("gcsteering: empty trace")
-	}
-	ctl, err := s.armFaults(s.cfg.Fault.plan(s.cfg.Seed))
-	if err != nil {
-		return nil, err
-	}
-	ctl.Start()
-	if err := s.startScrub(); err != nil {
-		return nil, err
-	}
-	s.measuring = true
-	s.scheduleArrivals(tr)
-	s.eng.Run()
-	s.drainSteering()
-	ctl.Finish(s.eng.Now())
-	if err := ctl.Err(); err != nil {
-		return nil, err
-	}
-	return s.results(), nil
-}
-
-// armFaults builds and wires the fault controller for the lowered plan —
-// the shared setup behind ReplayWithFaults and the power-loss replay. The
-// caller starts it.
-func (s *System) armFaults(plan fault.Plan) (*fault.Controller, error) {
-	ctl, err := fault.NewController(s.eng, s.arr, s.devs, plan, s.cfg.Flash.PageSize)
-	if err != nil {
-		return nil, err
+		return err
 	}
 	ctl.Trace = s.trace
 	ctl.SinkFor = s.faultSink
@@ -760,39 +644,62 @@ func (s *System) armFaults(plan fault.Plan) (*fault.Controller, error) {
 			s.steer.DropStagedOn(int32(disk))
 		}
 	}
+	ctl.Hold = func(now sim.Time, disk int) bool {
+		// §III-D case ②: when the staging space becomes the replacement,
+		// redirected write data is reclaimed to its home disks before the
+		// reconstruction starts.
+		if s.steer == nil || s.cfg.Fault.RebuildTarget != RebuildToStaging || !s.steer.Draining() {
+			return false
+		}
+		s.steer.DrainAll(now)
+		return true
+	}
 	ctl.OnRebuildStart = func(now sim.Time, disk int) {
-		s.rebuildActive = true
 		if s.steer != nil {
 			s.steer.SetRebuilding(now, true)
 		}
 	}
 	ctl.OnRepair = func(now sim.Time, disk int) {
-		s.rebuildActive = false
 		if s.busy != nil {
 			s.busy.note(BusyRebuild, disk, now, false)
 		}
 		if s.steer != nil {
+			if ds, ok := s.steer.Staging().(*core.DedicatedStaging); ok && s.spareJoined() {
+				// The staging SSD is now a member: no new slots on it.
+				ds.Retire()
+			}
 			s.steer.Staging().SetUnavailable(-1)
 			s.steer.SetFailedHome(-1)
 			s.steer.SetRebuilding(now, false)
 		}
 	}
 	s.faults = ctl
-	return ctl, nil
+	ctl.Start()
+	return nil
 }
 
 // faultSink builds the rebuild sink for the plan's RebuildTarget plus the
-// replacement disk installed once that rebuild completes. Each failure gets
-// a fresh replacement SSD, so repeated failures rebuild onto clean devices.
+// replacement disk installed once that rebuild completes. RebuildToSpare
+// gets a fresh replacement SSD per failure, so repeated failures rebuild
+// onto clean devices. RebuildToStaging under dedicated staging rebuilds
+// onto the staging SSD once; later failures find no staging space left
+// and take a fresh replacement.
 func (s *System) faultSink(now sim.Time, failDisk int) (rebuild.Sink, raid.Disk, error) {
+	target := s.cfg.Fault.RebuildTarget
+	if target == RebuildToStaging && s.cfg.Staging == StagingDedicated {
+		if !s.spareJoined() {
+			return &rebuild.SpareSink{Disk: s.spare}, s.spare, nil // the staging SSD is the replacement
+		}
+		target = RebuildToSpare
+	}
 	repl, err := s.newReplacement()
 	if err != nil {
 		return nil, nil, err
 	}
-	switch s.cfg.Fault.RebuildTarget {
+	switch target {
 	case RebuildToSpare:
 		return &rebuild.SpareSink{Disk: repl}, repl, nil
-	case RebuildToReserved:
+	case RebuildToStaging:
 		var survivors []raid.Disk
 		for d, disk := range s.disks {
 			if s.arr.Alive(d) && d != failDisk {
@@ -815,23 +722,26 @@ func (s *System) faultSink(now sim.Time, failDisk int) (rebuild.Sink, raid.Disk,
 		// critical path and is not modelled.
 		return sink, repl, nil
 	default:
-		return nil, nil, fmt.Errorf("gcsteering: unknown rebuild target %v", s.cfg.Fault.RebuildTarget)
+		return nil, nil, fmt.Errorf("gcsteering: unknown rebuild target %v", target)
 	}
+}
+
+// spareJoined reports whether the dedicated staging SSD has replaced a
+// failed member.
+func (s *System) spareJoined() bool {
+	for _, d := range s.arr.Disks() {
+		if d == raid.Disk(s.spare) {
+			return true
+		}
+	}
+	return false
 }
 
 // newReplacement creates a fresh SSD to take over a failed slot.
 func (s *System) newReplacement() (*ssd.Device, error) {
-	devCfg := ssd.Config{
-		Geometry:        s.cfg.Flash,
-		Latency:         s.cfg.Latency,
-		GCLowWater:      s.cfg.GCLowWater,
-		GCHighWater:     s.cfg.GCHighWater,
-		ForcedGCVictims: s.cfg.ForcedGCVictims,
-		GCOverhead:      sim.Time(s.cfg.GCOverheadMs * float64(sim.Millisecond)),
-	}
 	// IDs continue past the members and the optional dedicated spare.
 	id := s.cfg.Disks + 1 + s.nrepl
-	repl, err := ssd.New(id, s.eng, devCfg)
+	repl, err := ssd.New(id, s.eng, s.cfg.deviceConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -844,8 +754,8 @@ func (s *System) newReplacement() (*ssd.Device, error) {
 func (s *System) Now() Time { return s.eng.Now() }
 
 // Events returns how many engine events have fired so far — the
-// simulator's unit of work, which the benchmark emitter divides by wall
-// time to report events/sec.
+// simulator's unit of work, which cmd/gcsperf divides by wall time to
+// report events/sec.
 func (s *System) Events() uint64 { return s.eng.Fired() }
 
 // ObserveRequests installs fn, invoked once per submitted request as it
@@ -853,8 +763,10 @@ func (s *System) Events() uint64 { return s.eng.Fired() }
 // order), latNs the user-visible response time in nanoseconds (the
 // deadline for deadline-cancelled requests), and rejected marks requests
 // shed by admission control (their latNs is 0). The cluster layer uses it
-// to attribute shard latencies back to tenants. Call before Replay; a nil
-// fn removes the hook.
+// to attribute shard latencies back to tenants. Under Config.PowerLossAtMs
+// the hook spans the cut: requests served after the remount continue the
+// pre-cut indices, and requests lost in flight at the cut never settle (so
+// never fire). Call before Replay; a nil fn removes the hook.
 func (s *System) ObserveRequests(fn func(seq int64, latNs int64, rejected bool)) {
 	s.onRequest = fn
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gcsteering/internal/core"
+	"gcsteering/internal/raid"
 )
 
 // Helpers bridging the white-box tests to internal/core types.
@@ -32,27 +33,28 @@ func TestConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := cfg
-	bad.Disks = 1
-	if err := bad.Validate(); err == nil {
-		t.Fatal("1 disk accepted")
-	}
-	bad = cfg
-	bad.StripeUnitKB = 3 // not a page multiple
-	if err := bad.Validate(); err == nil {
-		t.Fatal("non-page stripe unit accepted")
-	}
-	bad = cfg
-	bad.ReservedFrac = 0.9
-	if err := bad.Validate(); err == nil {
-		t.Fatal("huge reservation accepted")
-	}
-	bad = cfg
-	bad.Scheme = SchemeSteering
-	bad.Staging = StagingReserved
-	bad.ReservedFrac = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("reserved staging without reservation accepted")
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"1 disk", func(c *Config) { c.Disks = 1 }},
+		{"non-page stripe unit", func(c *Config) { c.StripeUnitKB = 3 }},
+		{"huge reservation", func(c *Config) { c.ReservedFrac = 0.9 }},
+		{"reserved staging without reservation", func(c *Config) {
+			c.Scheme = SchemeSteering
+			c.Staging = StagingReserved
+			c.ReservedFrac = 0
+		}},
+		{"staging rebuild without staging space", func(c *Config) {
+			c.Scheme = SchemeLGC
+			c.Fault.RebuildTarget = RebuildToStaging
+		}},
+	} {
+		bad := cfg
+		tc.set(&bad)
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -130,19 +132,30 @@ func TestReplayRejectsEmptyAndInvalid(t *testing.T) {
 	}
 }
 
-func TestReplayDuringRebuildBothTargets(t *testing.T) {
+// rebuildPlan fails member 2 at time zero and rebuilds it at mbps into
+// target — the Fig. 11 scenario as a fault plan.
+func rebuildPlan(mbps float64, target RebuildTarget) FaultPlan {
+	return FaultPlan{
+		Failures:      []DiskFault{{Disk: 2, AtMs: 0}},
+		RebuildMBps:   mbps,
+		RebuildTarget: target,
+	}
+}
+
+func TestRebuildPlanBothTargets(t *testing.T) {
 	for _, tc := range []struct {
-		scheme Scheme
-		target RebuildTarget
+		scheme  Scheme
+		staging StagingKind
+		target  RebuildTarget
 	}{
-		{SchemeLGC, RebuildToSpare},
-		{SchemeSteering, RebuildToReserved},
-		{SchemeSteering, RebuildToSpare},
+		{SchemeLGC, StagingReserved, RebuildToSpare},
+		{SchemeSteering, StagingReserved, RebuildToStaging},
+		{SchemeSteering, StagingDedicated, RebuildToStaging},
+		{SchemeSteering, StagingDedicated, RebuildToSpare},
 	} {
 		cfg := smallConfig(tc.scheme)
-		if tc.scheme == SchemeSteering && tc.target == RebuildToSpare {
-			cfg.Staging = StagingDedicated
-		}
+		cfg.Staging = tc.staging
+		cfg.Fault = rebuildPlan(10, tc.target)
 		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -151,33 +164,109 @@ func TestReplayDuringRebuildBothTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.ReplayDuringRebuild(tr, 2, 10, tc.target)
+		res, err := sys.Replay(tr)
 		if err != nil {
-			t.Fatalf("%v/%v: %v", tc.scheme, tc.target, err)
+			t.Fatalf("%v/%v/%v: %v", tc.scheme, tc.staging, tc.target, err)
 		}
 		// Only requests arriving during the reconstruction window are
-		// measured (Fig. 11 semantics), so the count is bounded by, and
+		// degraded (Fig. 11's measurement), so the count is bounded by, and
 		// usually below, the trace length.
-		if res.Latency.Count == 0 || res.Latency.Count > 2000 {
-			t.Fatalf("%v/%v: %d responses", tc.scheme, tc.target, res.Latency.Count)
+		f := res.Fault
+		if f.DegradedLatency.Count == 0 || f.DegradedLatency.Count > 2000 {
+			t.Fatalf("%v/%v/%v: %d degraded responses", tc.scheme, tc.staging, tc.target, f.DegradedLatency.Count)
 		}
-		if res.RebuildDuration <= 0 {
-			t.Fatalf("%v/%v: rebuild never completed", tc.scheme, tc.target)
+		if f.Rebuilds != 1 || f.RebuildTime <= 0 {
+			t.Fatalf("%v/%v/%v: rebuild never completed: %+v", tc.scheme, tc.staging, tc.target, f)
 		}
 	}
 }
 
-func TestReplayDuringRebuildValidation(t *testing.T) {
-	sys, err := New(smallConfig(SchemeLGC))
+func TestRebuildPlanValidation(t *testing.T) {
+	cfg := smallConfig(SchemeLGC)
+	cfg.Fault = rebuildPlan(10, RebuildToSpare)
+	cfg.Fault.Failures[0].Disk = 99
+	if _, err := New(cfg); err == nil {
+		t.Fatal("bad disk id accepted")
+	}
+	cfg.Fault.Failures[0].Disk = 0
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _ := sys.GenerateWorkload("hm_0", 100)
-	if _, err := sys.ReplayDuringRebuild(tr, 99, 10, RebuildToSpare); err == nil {
-		t.Fatal("bad disk id accepted")
-	}
-	if _, err := sys.ReplayDuringRebuild(nil, 0, 10, RebuildToSpare); err == nil {
+	if _, err := sys.Replay(nil); err == nil {
 		t.Fatal("empty trace accepted")
+	}
+}
+
+// TestRebuildToStagingDedicatedUsesStagingSSD pins §III-D case ② under
+// dedicated staging: the staging SSD is the replacement, so the rebuild
+// programs the failed member's contents onto it and installs it in the
+// failed slot.
+func TestRebuildToStagingDedicatedUsesStagingSSD(t *testing.T) {
+	cfg := smallConfig(SchemeSteering)
+	cfg.Staging = StagingDedicated
+	cfg.Fault = rebuildPlan(20, RebuildToStaging)
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sys.GenerateWorkload("hm_0", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Replay(tr); err != nil {
+		t.Fatal(err)
+	}
+	if sys.arr.Disks()[2] != raid.Disk(sys.spare) {
+		t.Fatal("staging SSD not installed in the failed slot")
+	}
+	if got, want := sys.spare.Stats().PagesWritten, int64(cfg.diskPages()); got < want {
+		t.Fatalf("staging SSD programmed %d pages, want at least the member's %d", got, want)
+	}
+}
+
+// TestRebuildToStagingDedicatedDoubleFailure: the staging SSD replaces
+// only the first failed member. Once it is a member it hands out no more
+// staging slots, and the second rebuild takes a fresh replacement instead
+// of installing the same device in a second slot.
+func TestRebuildToStagingDedicatedDoubleFailure(t *testing.T) {
+	cfg := smallConfig(SchemeSteering)
+	cfg.Level = RAID6
+	cfg.Disks = 6
+	cfg.Staging = StagingDedicated
+	cfg.Fault = FaultPlan{
+		Failures:      []DiskFault{{Disk: 1, AtMs: 0}, {Disk: 4, AtMs: 5}},
+		RebuildMBps:   20,
+		RebuildTarget: RebuildToStaging,
+	}
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sys.GenerateWorkload("hm_0", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Replay(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fault.Rebuilds != 2 || res.Fault.ArrayFailures != 0 || sys.arr.Degraded() {
+		t.Fatalf("fault stats = %+v, want both failures rebuilt", res.Fault)
+	}
+	disks := sys.arr.Disks()
+	if disks[1] != raid.Disk(sys.spare) {
+		t.Fatal("staging SSD not installed in the first failed slot")
+	}
+	for i, d := range disks {
+		for j := i + 1; j < len(disks); j++ {
+			if d == disks[j] {
+				t.Fatalf("one device fills slots %d and %d", i, j)
+			}
+		}
+	}
+	if _, ok := sys.steer.Staging().AllocWrite(sys.eng.Now(), 0, false); ok {
+		t.Fatal("staging SSD still hands out write slots after joining the array")
 	}
 }
 
@@ -206,16 +295,24 @@ func TestDeterministicReplay(t *testing.T) {
 // ②: when the staging space serves as the replacement, previously
 // redirected write data is reclaimed before reconstruction begins.
 func TestReclaimFirstBeforeParallelRebuild(t *testing.T) {
-	sys, err := New(smallConfig(SchemeSteering))
+	cfg := smallConfig(SchemeSteering)
+	// The failure lands at 2 ms, once the seeded writes below are staged.
+	cfg.Fault = rebuildPlan(20, RebuildToStaging)
+	cfg.Fault.Failures[0].AtMs = 2
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Seed the staging space with redirected write data: force GC on a
 	// member and write through the array while it collects.
 	sys.devs[1].ForceGC(sys.eng.Now())
-	sys.measuring = true
-	for p := 0; p < 8; p++ {
-		sys.submit(sys.eng.Now(), Record{Offset: int64(p) * 4096, Size: 4096, Write: true})
+	// Small writes into every stripe unit of the first stripe, so some land
+	// on the collecting member whatever the parity rotation.
+	unit := int64(cfg.StripeUnitKB) * 1024
+	for u := int64(0); u < int64(cfg.Disks); u++ {
+		for p := int64(0); p < 8; p++ {
+			sys.submit(sys.eng.Now(), Record{Offset: u*unit + p*4096, Size: 4096, Write: true})
+		}
 	}
 	sys.eng.RunFor(2_000_000) // 2ms: writes land, GC still in flight
 	if sys.steer.DTable().WriteLen() == 0 {
@@ -225,12 +322,17 @@ func TestReclaimFirstBeforeParallelRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ReplayDuringRebuild(tr, 2, 20, RebuildToReserved)
+	res, err := sys.Replay(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RebuildDuration <= 0 {
+	if res.Fault.Rebuilds != 1 {
 		t.Fatal("rebuild never completed")
+	}
+	// The reclaim ran inside the degraded window, ahead of the rebuild.
+	if res.Fault.WindowOfVulnerability <= res.Fault.RebuildTime {
+		t.Fatalf("rebuild started at the failure (WOV %v, rebuild %v): no reclaim ran first",
+			res.Fault.WindowOfVulnerability, res.Fault.RebuildTime)
 	}
 	// After the run everything must be reclaimed (drain on completion).
 	if got := sys.steer.DTable().WriteLen(); got != 0 {
