@@ -174,7 +174,8 @@ type Config struct {
 	//gcsvet:inert
 	MaxRetries int
 	// RetryBackoffUs is the base delay before the first retry; it doubles
-	// per attempt. 0 with MaxRetries > 0 defaults to 200 µs.
+	// per attempt, up to the simulation horizon. 0 with MaxRetries > 0
+	// defaults to 200 µs.
 	RetryBackoffUs float64
 	// QueueLimit caps concurrently admitted user requests: beyond it the
 	// array sheds background load first (hot-read migrations, scrub pacing)
@@ -436,20 +437,37 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.ScrubMBps) {
 		return fmt.Errorf("gcsteering: ScrubMBps is NaN")
 	}
-	if math.IsNaN(c.DeadlineUs) || math.IsInf(c.DeadlineUs, 0) {
-		return fmt.Errorf("gcsteering: DeadlineUs %v not finite", c.DeadlineUs)
+	// Every ms/µs field must convert to engine time inside sim.Horizon, so
+	// no conversion overflows and no instant formed from one runs past the
+	// clock's range. Written so that NaN fails too.
+	const ms, us = float64(sim.Millisecond), float64(sim.Microsecond)
+	type span struct {
+		name string
+		ns   float64
+	}
+	spans := []span{{"DeadlineUs", c.DeadlineUs * us}, {"RetryBackoffUs", c.RetryBackoffUs * us},
+		{"PowerLossAtMs", c.PowerLossAtMs * ms}, {"GCOverheadMs", c.GCOverheadMs * ms},
+		{"Fault.RepairDelayMs", c.Fault.RepairDelayMs * ms}}
+	for _, f := range c.Fault.Failures {
+		spans = append(spans, span{"Fault.Failures AtMs", f.AtMs * ms})
+	}
+	for _, s := range c.Fault.Slowdowns {
+		spans = append(spans, span{"Fault.Slowdowns StartMs", s.StartMs * ms},
+			span{"Fault.Slowdowns DurationMs", s.DurationMs * ms}, span{"Fault.Slowdowns ExtraPerOpUs", s.ExtraPerOpUs * us})
+	}
+	for _, f := range spans {
+		if !(math.Abs(f.ns) < float64(sim.Horizon)) {
+			return fmt.Errorf("gcsteering: %s is %v ns, not a finite duration within the simulation horizon %v", f.name, f.ns, sim.Horizon)
+		}
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("gcsteering: MaxRetries %d negative", c.MaxRetries)
 	}
-	if c.RetryBackoffUs < 0 || math.IsNaN(c.RetryBackoffUs) || math.IsInf(c.RetryBackoffUs, 0) {
-		return fmt.Errorf("gcsteering: RetryBackoffUs %v invalid", c.RetryBackoffUs)
+	if c.RetryBackoffUs < 0 {
+		return fmt.Errorf("gcsteering: RetryBackoffUs %v negative", c.RetryBackoffUs)
 	}
 	if c.HedgedReads && c.Level != RAID5 && c.Level != RAID6 {
 		return fmt.Errorf("gcsteering: HedgedReads needs RAID5/6 parity (level %v)", c.Level)
-	}
-	if math.IsNaN(c.PowerLossAtMs) || math.IsInf(c.PowerLossAtMs, 0) {
-		return fmt.Errorf("gcsteering: PowerLossAtMs %v not finite", c.PowerLossAtMs)
 	}
 	if math.IsNaN(c.ResyncMBps) || math.IsInf(c.ResyncMBps, 0) {
 		return fmt.Errorf("gcsteering: ResyncMBps %v not finite", c.ResyncMBps)

@@ -130,13 +130,9 @@ func (s *Steering) drainNext(now sim.Time, disk int) {
 	}
 
 	// Read every staged page, then write the whole run home in one I/O.
-	remain := len(snaps)
-	onRead := func(t sim.Time) {
-		remain--
-		if remain == 0 {
-			must(s.devs[disk].Write(t, int(run.Page), int(run.Pages), finalize))
-		}
-	}
+	onRead := s.eng.Join(len(snaps), func(t sim.Time) {
+		must(s.devs[disk].Write(t, int(run.Page), int(run.Pages), finalize))
+	})
 	for _, sn := range snaps {
 		s.staging.Read(now, sn.loc, onRead)
 	}

@@ -203,6 +203,7 @@ func (d *DedicatedStaging) FreeWriteSlots() int { return d.writes.len() }
 // mirrored on two distinct members (RAID1-style), so a single SSD failure
 // loses nothing (§III-E).
 type ReservedStaging struct {
+	eng     *sim.Engine // bound by New; mirrored writes fan in on it
 	devs    []raid.Disk
 	base    int32 // first reserved page on each member
 	readEnd int32 // reserved pages below this offset hold hot-read copies
@@ -332,17 +333,7 @@ func (r *ReservedStaging) Write(now sim.Time, loc StageLoc, done func(sim.Time))
 		must(r.devs[loc.Dev0].Write(now, int(loc.Page0), 1, done))
 		return
 	}
-	remain := 2
-	//lint:allow hotalloc one mirror barrier closure per mirrored staging write; the redundancy is the feature's budgeted cost
-	cb := func(t sim.Time) {
-		remain--
-		if remain == 0 && done != nil {
-			done(t)
-		}
-	}
-	if done == nil {
-		cb = nil
-	}
+	cb := r.eng.Join(2, done)
 	must(r.devs[loc.Dev0].Write(now, int(loc.Page0), 1, cb))
 	must(r.devs[loc.Dev1].Write(now, int(loc.Page1), 1, cb))
 }

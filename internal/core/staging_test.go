@@ -123,6 +123,7 @@ func reservedFixture(t *testing.T, n int) (*sim.Engine, []*stubDisk, *ReservedSt
 	if err != nil {
 		t.Fatal(err)
 	}
+	rs.eng = eng // bound by New in a steering setup
 	return eng, stubs, rs
 }
 

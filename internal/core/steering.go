@@ -148,6 +148,16 @@ type Steering struct {
 // pageRun is a contiguous page range forwarded to the home disk in one op.
 type pageRun struct{ page, pages int }
 
+// appendPage extends the last run of runs by page when contiguous, or
+// starts a new run.
+func appendPage(runs []pageRun, page int) []pageRun {
+	if n := len(runs); n > 0 && runs[n-1].page+runs[n-1].pages == page {
+		runs[n-1].pages++
+		return runs
+	}
+	return append(runs, pageRun{page, 1})
+}
+
 // New wires a Steering controller onto the array. It replaces the array's
 // Route hook.
 func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steering, error) {
@@ -171,6 +181,9 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 	}
 	for range devs {
 		s.hot = append(s.hot, NewRLRU(hotCap))
+	}
+	if rs, ok := staging.(*ReservedStaging); ok {
+		rs.eng = eng // mirrored writes fan in on the engine
 	}
 	arr.Route = s.route
 	arr.GCAwareWrites = true
@@ -336,19 +349,17 @@ func (s *Steering) route(now sim.Time, op raid.SubOp, done func(sim.Time)) bool 
 	}
 }
 
-// barrier fires done after n completions (nil-safe).
-func barrier(n int, done func(sim.Time)) func(sim.Time) {
-	if done == nil {
-		return nil
+// busy reports whether op's disk is collecting and whether it is
+// quarantined, counting op's pages against each signal.
+func (s *Steering) busy(now sim.Time, op raid.SubOp) (inGC, quar bool) {
+	inGC, quar = s.devs[op.Disk].InGC(now), s.unhealthy(now, op.Disk)
+	if inGC {
+		s.stats.GCPages += int64(op.Pages)
 	}
-	remain := n
-	//lint:allow hotalloc sanctioned one-closure-per-request fan-in barrier, mirroring the raid-level barrier (PR 7)
-	return func(t sim.Time) {
-		remain--
-		if remain == 0 {
-			done(t)
-		}
+	if quar {
+		s.stats.QuarantinePages += int64(op.Pages)
 	}
+	return inGC, quar
 }
 
 // routeRead serves a read sub-op. Staged pages are always read from the
@@ -357,8 +368,7 @@ func barrier(n int, done func(sim.Time)) func(sim.Time) {
 // be collecting (only popular data has a staged copy to dodge to).
 func (s *Steering) routeRead(now sim.Time, op raid.SubOp, done func(sim.Time)) bool {
 	disk := op.Disk
-	inGC := s.devs[disk].InGC(now)
-	quar := s.unhealthy(now, disk)
+	inGC, quar := s.busy(now, op)
 
 	staged := s.stagedScratch[:0]
 	anyStaged := false
@@ -369,12 +379,6 @@ func (s *Steering) routeRead(now sim.Time, op raid.SubOp, done func(sim.Time)) b
 		} else {
 			staged = append(staged, StageLoc{Dev0: NoMirror})
 		}
-	}
-	if inGC {
-		s.stats.GCPages += int64(op.Pages)
-	}
-	if quar {
-		s.stats.QuarantinePages += int64(op.Pages)
 	}
 	if !anyStaged && !inGC && !quar {
 		// Fast path: nothing staged, disk healthy. Track popularity and
@@ -392,14 +396,10 @@ func (s *Steering) routeRead(now sim.Time, op raid.SubOp, done func(sim.Time)) b
 			nOps++
 			continue
 		}
-		if n := len(direct); n > 0 && direct[n-1].page+direct[n-1].pages == op.Page+i {
-			direct[n-1].pages++
-		} else {
-			direct = append(direct, pageRun{op.Page + i, 1})
-		}
+		direct = appendPage(direct, op.Page+i)
 	}
 	nOps += len(direct)
-	cb := barrier(nOps, done)
+	cb := s.eng.Join(nOps, done)
 	for i := 0; i < op.Pages; i++ {
 		if staged[i].Dev0 == NoMirror {
 			continue
@@ -512,15 +512,8 @@ func (s *Steering) touchAndMigrate(now sim.Time, disk int, page int32) {
 // way — route never sees parity ops here.
 func (s *Steering) routeWrite(now sim.Time, op raid.SubOp, done func(sim.Time)) bool {
 	disk := op.Disk
-	inGC := s.devs[disk].InGC(now)
-	quar := s.unhealthy(now, disk)
+	inGC, quar := s.busy(now, op)
 	steerAll := inGC || quar || s.rebuilding
-	if inGC {
-		s.stats.GCPages += int64(op.Pages)
-	}
-	if quar {
-		s.stats.QuarantinePages += int64(op.Pages)
-	}
 
 	if !steerAll {
 		// Healthy disk: hot-read copies of written pages are dropped (the
@@ -621,11 +614,7 @@ func (s *Steering) routeWrite(now sim.Time, op raid.SubOp, done func(sim.Time)) 
 				s.dt.Delete(key)
 			}
 		}
-		if n := len(direct); n > 0 && direct[n-1].page+direct[n-1].pages == op.Page+i {
-			direct[n-1].pages++
-		} else {
-			direct = append(direct, pageRun{op.Page + i, 1})
-		}
+		direct = appendPage(direct, op.Page+i)
 	}
 	s.invalidateHot(disk, op)
 	if len(locs) == 0 && len(direct) == 1 && direct[0].pages == op.Pages {
@@ -634,7 +623,7 @@ func (s *Steering) routeWrite(now sim.Time, op raid.SubOp, done func(sim.Time)) 
 		s.stats.DirectWrites += int64(op.Pages)
 		return false
 	}
-	cb := barrier(len(locs)+len(direct), done)
+	cb := s.eng.Join(len(locs)+len(direct), done)
 	for _, loc := range locs {
 		s.staging.Write(now, loc, cb)
 	}

@@ -18,13 +18,14 @@ import (
 // distinct objects in different packages; the key is what stays stable
 // across those views.
 //
-// Edges cover direct calls and interface method calls. An interface
-// call edge goes to every named type declared in the module that
-// implements the interface (the class-hierarchy approximation). Calls
-// through plain func values — event callbacks, hook fields — are NOT
-// followed: the simulator's convention is that such callbacks are
+// Edges cover direct calls, interface method calls, and method values.
+// An interface call edge goes to every named type declared in the module
+// that implements the interface (the class-hierarchy approximation).
+// Calls through plain func values — event callbacks, hook fields — are
+// NOT followed: the simulator's convention is that such callbacks are
 // constructed on an annotated path, so their bodies are reached through
-// the function literal that created them, not through the dynamic call.
+// the function literal or the method value (x.M, bound once into a pooled
+// record) that created them, not through the dynamic call.
 
 // funcDirective marks the gcsvet traversal annotations on a FuncDecl.
 const (
@@ -142,49 +143,44 @@ func (prog *Program) build() {
 	for _, k := range keys {
 		caller := prog.funcs[k]
 		ast.Inspect(caller.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			for _, callee := range prog.callees(caller.pkg, call) {
-				prog.calls[caller.key] = append(prog.calls[caller.key], callee)
+			if n, ok := n.(ast.Expr); ok {
+				prog.calls[caller.key] = append(prog.calls[caller.key], prog.callees(caller.pkg, n)...)
 			}
 			return true
 		})
 	}
 }
 
-// callees resolves one call expression to the keys of the functions it
-// may invoke. Dynamic calls through func values resolve to nothing.
-func (prog *Program) callees(p *Package, call *ast.CallExpr) []string {
-	fun := ast.Unparen(call.Fun)
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		if fn, ok := p.Info.Uses[fun].(*types.Func); ok {
-			return []string{funcKey(fn)}
+// callees resolves one expression to the keys of the functions it may
+// invoke: a call of a named function, or a method selection x.M — called,
+// or bound as a callback, which then runs on the path that bound it just
+// as a function literal's body does (CHA for interface receivers).
+// Dynamic calls through func values resolve to nothing.
+func (prog *Program) callees(p *Package, e ast.Expr) []string {
+	var fn *types.Func
+	switch e := e.(type) {
+	case *ast.CallExpr:
+		fun := ast.Unparen(e.Fun)
+		if sel, ok := fun.(*ast.SelectorExpr); ok && p.Info.Selections[sel] == nil {
+			fun = sel.Sel // package-qualified call (pkg.Func) or a conversion
+		}
+		if id, ok := fun.(*ast.Ident); ok {
+			fn, _ = p.Info.Uses[id].(*types.Func)
 		}
 	case *ast.SelectorExpr:
-		sel := p.Info.Selections[fun]
-		if sel == nil {
-			// Package-qualified call (pkg.Func) or a type conversion.
-			if fn, ok := p.Info.Uses[fun.Sel].(*types.Func); ok {
-				return []string{funcKey(fn)}
-			}
+		sel := p.Info.Selections[e]
+		if sel == nil || sel.Kind() != types.MethodVal {
 			return nil
 		}
-		if sel.Kind() != types.MethodVal {
-			return nil
-		}
-		fn, ok := sel.Obj().(*types.Func)
-		if !ok {
-			return nil
-		}
-		if iface, ok := deref(sel.Recv()).Underlying().(*types.Interface); ok {
+		fn, _ = sel.Obj().(*types.Func)
+		if iface, ok := deref(sel.Recv()).Underlying().(*types.Interface); ok && fn != nil {
 			return prog.implementers(iface, fn.Name())
 		}
-		return []string{funcKey(fn)}
 	}
-	return nil
+	if fn == nil {
+		return nil
+	}
+	return []string{funcKey(fn)}
 }
 
 // implementers returns the keys of every method named name on a module

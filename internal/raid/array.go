@@ -17,8 +17,13 @@ var ErrOverloaded = errors.New("raid: array overloaded")
 // Cancel is a request-scoped cancellation token. The facade arms one per
 // request when deadlines are enabled; sub-ops not yet issued when the
 // token fires (an RMW write phase, a retry) are absorbed instead of
-// touching the disks. A nil *Cancel is the never-cancelled token.
-type Cancel struct{ canceled bool }
+// touching the disks. A nil *Cancel is the never-cancelled token. The
+// array reads a caller's token only until the request's done fires, so
+// the caller may recycle it from then on.
+type Cancel struct {
+	canceled bool
+	parent   *Cancel // a token this one follows (see hedge)
+}
 
 // Cancel marks the token cancelled. Nil-safe.
 func (c *Cancel) Cancel() {
@@ -28,7 +33,7 @@ func (c *Cancel) Cancel() {
 }
 
 // Canceled reports whether the token has been cancelled. Nil-safe.
-func (c *Cancel) Canceled() bool { return c != nil && c.canceled }
+func (c *Cancel) Canceled() bool { return c != nil && (c.canceled || c.parent.Canceled()) }
 
 func boolInt(b bool) int64 {
 	if b {
@@ -239,17 +244,20 @@ type Array struct {
 	// Scratch buffers reused across requests. The engine is single-threaded
 	// and every buffer below is fully consumed before the request's public
 	// entry point returns (the Route hook never re-enters the array), so a
-	// request in steady state allocates no slices. Only writeStripe's
-	// phase-2 op list outlives its call — a closure holds it until phase 1
-	// completes — so it comes from the subopFree free list and is returned
-	// once issued.
+	// request in steady state allocates no slices.
 	extScratch    []Extent
 	itemScratch   []SubOp
-	hedgeScratch  []hedge
+	hedgeScratch  []*hedge
 	groupScratch  []stripeGroup
 	phase1Scratch []SubOp
 	coverScratch  [][2]int
-	subopFree     [][]SubOp
+
+	// State that outlives its call lives in pooled records with callbacks
+	// bound once per record; with the engine's Join for the fan-ins, a
+	// request in steady state allocates nothing.
+	requests     sim.FreeList[request]
+	stripeWrites sim.FreeList[stripeWrite]
+	hedges       sim.FreeList[hedge]
 
 	// Intents, when non-nil, is the write-ahead dirty-stripe intent
 	// journal: every RAID5/6 stripe write marks its stripe before the
@@ -283,32 +291,37 @@ func (a *Array) bindCaps() {
 	}
 }
 
-// getSubOps takes a slice from the free list (or makes one); putSubOps
-// returns it once its ops are issued.
-func (a *Array) getSubOps() []SubOp {
-	if n := len(a.subopFree); n > 0 {
-		s := a.subopFree[n-1]
-		a.subopFree = a.subopFree[:n-1]
-		return s[:0]
-	}
-	//lint:allow hotalloc free-list miss: allocates only while the pool warms up, steady state reuses
-	return make([]SubOp, 0, 8)
-}
-
-func (a *Array) putSubOps(s []SubOp) { a.subopFree = append(a.subopFree, s) }
-
-// cover returns the per-data-unit covered-range scratch, every entry reset
-// to the "not covered" sentinel {-1,-1}.
-func (a *Array) cover() [][2]int {
+// span returns the union [lo, hi) of g's in-unit offsets (contiguous for
+// a contiguous write), the pages g writes, and the in-unit range g covers
+// on each data unit ({-1,-1} for none) in per-array scratch.
+func (a *Array) span(g stripeGroup) (lo, hi, pages int, covered [][2]int) {
 	n := a.lay.DataDisks()
 	if len(a.coverScratch) < n {
 		a.coverScratch = make([][2]int, n)
 	}
-	c := a.coverScratch[:n]
-	for i := range c {
-		c[i] = [2]int{-1, -1}
+	covered = a.coverScratch[:n]
+	for i := range covered {
+		covered[i] = [2]int{-1, -1}
 	}
-	return c
+	base := a.lay.UnitPage(g.stripe)
+	lo = a.lay.UnitPages
+	for _, e := range g.exts {
+		off := e.Page - base
+		lo, hi, pages = min(lo, off), max(hi, off+e.Pages), pages+e.Pages
+		covered[e.DataIdx] = [2]int{off, off + e.Pages}
+	}
+	return lo, hi, pages, covered
+}
+
+// appendParity appends an op of kind over [page, page+pages) on each alive
+// parity unit of stripe st: P, and Q on RAID6.
+func (a *Array) appendParity(ops []SubOp, st, page, pages int, kind OpKind) []SubOp {
+	for _, d := range [2]int{a.lay.ParityDisk(st), a.lay.QDisk(st)} {
+		if d >= 0 && a.Alive(d) {
+			ops = append(ops, SubOp{Disk: d, Page: page, Pages: pages, Kind: kind, Stripe: st})
+		}
+	}
+	return ops
 }
 
 // NewArray builds an array over the given member disks.
@@ -375,7 +388,7 @@ func (a *Array) FailDisk(d int) error {
 	if d < 0 || d >= a.lay.Disks {
 		return fmt.Errorf("raid: no disk %d", d)
 	}
-	if !a.alive(d) {
+	if !a.Alive(d) {
 		return fmt.Errorf("raid: disk %d already failed", d)
 	}
 	if len(a.failed) >= a.maxFailures() {
@@ -409,7 +422,8 @@ func (a *Array) RepairDisk(replacement Disk) error {
 	return nil
 }
 
-func (a *Array) alive(d int) bool {
+// Alive reports whether member d is currently healthy (not failed).
+func (a *Array) Alive(d int) bool {
 	for _, f := range a.failed {
 		if f == d {
 			return false
@@ -417,9 +431,6 @@ func (a *Array) alive(d int) bool {
 	}
 	return true
 }
-
-// Alive reports whether member d is currently healthy (not failed).
-func (a *Array) Alive(d int) bool { return a.alive(d) }
 
 // SpareRedundancy is how many additional member losses the array can absorb
 // right now: the layout's fault tolerance minus the failures already
@@ -430,24 +441,7 @@ func (a *Array) SpareRedundancy() int { return a.maxFailures() - len(a.failed) }
 
 // issue routes one sub-op to the member disk (or the Route hook).
 func (a *Array) issue(now sim.Time, op SubOp, tok *Cancel, done func(now sim.Time)) {
-	if tok.Canceled() {
-		// The request's deadline passed while this op waited on an earlier
-		// phase (an RMW write phase behind its reads, a backed-off retry).
-		// It is absorbed exactly like a stale sub-op: completed immediately
-		// without touching the disk, so the enclosing barrier still settles.
-		a.stats.CanceledSubOps++
-		if done != nil {
-			a.eng.At(now, done)
-		}
-		return
-	}
-	if !a.alive(op.Disk) {
-		// The disk failed after this op's plan was made (a failure injected
-		// between the read and write phases of an in-flight RMW). The write
-		// to the failed member is simply skipped — its data is covered by
-		// the stripe's parity and regenerated by the rebuild — and the op
-		// completes without touching the dead device.
-		a.stats.StaleSubOps++
+	if a.absorbed(op, tok) {
 		if done != nil {
 			a.eng.At(now, done)
 		}
@@ -471,6 +465,22 @@ func (a *Array) issue(now sim.Time, op SubOp, tok *Cancel, done func(now sim.Tim
 	} else {
 		a.issueRead(now, op, tok, done, 0)
 	}
+}
+
+// absorbed reports, and counts, a sub-op that completes at once without
+// touching its disk, so its fan-in still settles: its request's deadline
+// passed while it waited on an earlier phase or a backoff, or its disk
+// failed after the plan was made (the stripe's parity covers the write).
+func (a *Array) absorbed(op SubOp, tok *Cancel) bool {
+	switch {
+	case tok.Canceled():
+		a.stats.CanceledSubOps++
+	case !a.Alive(op.Disk):
+		a.stats.StaleSubOps++
+	default:
+		return false
+	}
+	return true
 }
 
 // issueRead sends one read sub-op to its member, retrying transient
@@ -504,7 +514,7 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 			}
 			return
 		}
-		backoff := a.RetryBackoff << attempt
+		backoff := a.retryDelay(t, attempt)
 		a.stats.Retries++
 		if a.Trace.Enabled() {
 			a.Trace.Emit(t, obs.Event{Kind: obs.KRetry, Dev: int32(op.Disk),
@@ -513,21 +523,11 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 		}
 		//lint:allow hotalloc backoff re-issue closure, same opt-in transient-fault path as the retry closure above
 		a.eng.At(t+backoff, func(t2 sim.Time) {
-			if tok.Canceled() {
-				a.stats.CanceledSubOps++
-				if done != nil {
-					done(t2)
-				}
-				return
+			if !a.absorbed(op, tok) {
+				a.issueRead(t2, op, tok, done, attempt+1)
+			} else if done != nil {
+				done(t2)
 			}
-			if !a.alive(op.Disk) {
-				a.stats.StaleSubOps++
-				if done != nil {
-					done(t2)
-				}
-				return
-			}
-			a.issueRead(t2, op, tok, done, attempt+1)
 		})
 	}
 	// The failed attempt needs a completion event to drive the retry even
@@ -535,20 +535,15 @@ func (a *Array) issueRead(now sim.Time, op SubOp, tok *Cancel, done func(now sim
 	must(a.disks[op.Disk].Read(now, op.Page, op.Pages, cb))
 }
 
-// barrier returns a completion callback that fires done after n calls,
-// passing the latest completion time. With done == nil it returns nil.
-func barrier(n int, done func(now sim.Time)) func(now sim.Time) {
-	if done == nil {
-		return nil
+// retryDelay is the backoff before retry attempt+1 at t: RetryBackoff
+// doubled per attempt, saturating so the retry lands no later than
+// sim.Horizon however many retries MaxRetries allows.
+func (a *Array) retryDelay(t sim.Time, attempt int) sim.Time {
+	room := max(sim.Horizon-t, 0)
+	if d := a.RetryBackoff; d == 0 || attempt < 62 && d <= room>>attempt {
+		return d << attempt
 	}
-	remain := n
-	//lint:allow hotalloc sanctioned one-closure-per-request fan-in barrier (PR 7); the free-list and scratch design budgets exactly this
-	return func(t sim.Time) {
-		remain--
-		if remain == 0 {
-			done(t)
-		}
-	}
+	return room
 }
 
 // readError consults the member's fault hook (if any) for a latent sector
@@ -574,12 +569,12 @@ func (a *Array) quarantined(now sim.Time, d int) bool {
 // busyDisk reports whether alive member d is collecting or quarantined —
 // the per-disk busy signal the GC-aware write strategy weighs.
 func (a *Array) busyDisk(now sim.Time, d int) bool {
-	return a.alive(d) && (a.disks[d].InGC(now) || a.quarantined(now, d))
+	return a.Alive(d) && (a.disks[d].InGC(now) || a.quarantined(now, d))
 }
 
-// hedgeReason reports why extent e's home disk deserves a hedged read:
-// 1 when the disk is mid-GC, 2 when it is fail-slow, 3 when the health
-// monitor has quarantined it, 0 for no hedge.
+// hedgeReason reports why extent e's home disk deserves a HedgedReads race:
+// 1 when the disk is mid-GC, 2 when it is fail-slow, 0 for no hedge (a
+// quarantined disk, reason 3, is raced regardless).
 func (a *Array) hedgeReason(now sim.Time, e Extent) int64 {
 	if a.lay.Level != RAID5 && a.lay.Level != RAID6 {
 		return 0
@@ -590,25 +585,17 @@ func (a *Array) hedgeReason(now sim.Time, e Extent) int64 {
 	if sd := a.caps[e.Disk].slow; sd != nil && sd.Slow(now) {
 		return 2
 	}
-	if a.quarantined(now, e.Disk) {
-		return 3
-	}
 	return 0
 }
 
-// reconstructItems returns the sub-ops that regenerate extent e without
-// reading it from disk e.Disk: the stripe's surviving data units plus
-// enough parity at the same in-unit offsets. With one unit unavailable, P
-// (or Q when P is also gone) suffices; with two (RAID6 double failure, or
-// a URE in degraded mode), both P and Q are needed. ok is false when the
-// surviving redundancy cannot cover the losses — reading e is data loss.
-func (a *Array) reconstructItems(e Extent) (items []SubOp, ok bool) {
-	return a.appendReconstruct(nil, e)
-}
-
-// appendReconstruct is reconstructItems appending into dst; when ok is
-// false the caller must discard the appended ops (truncate back to the
-// pre-call length).
+// appendReconstruct appends to dst the sub-ops that regenerate extent e
+// without reading it from disk e.Disk: the stripe's surviving data units
+// plus enough parity at the same in-unit offsets. With one unit
+// unavailable, P (or Q when P is also gone) suffices; with two (RAID6
+// double failure, or a URE in degraded mode), both P and Q are needed. ok
+// is false when the surviving redundancy cannot cover the losses — reading
+// e is data loss — and the caller must discard the appended ops (truncate
+// back to the pre-call length).
 func (a *Array) appendReconstruct(dst []SubOp, e Extent) (items []SubOp, ok bool) {
 	items = dst
 	unitOff := e.Page - a.lay.UnitPage(e.Stripe)
@@ -618,36 +605,29 @@ func (a *Array) appendReconstruct(dst []SubOp, e Extent) (items []SubOp, ok bool
 		if d == e.Disk {
 			continue
 		}
-		if !a.alive(d) {
+		if !a.Alive(d) {
 			missingData++
 			continue
 		}
 		items = append(items, SubOp{Disk: d, Page: a.lay.UnitPage(e.Stripe) + unitOff, Pages: e.Pages, Kind: OpDataRead, Stripe: e.Stripe})
 	}
 	parityNeeded := 1 + missingData
-	if pd := a.lay.ParityDisk(e.Stripe); pd >= 0 && a.alive(pd) && parityNeeded > 0 {
+	if pd := a.lay.ParityDisk(e.Stripe); pd >= 0 && a.Alive(pd) && parityNeeded > 0 {
 		items = append(items, SubOp{Disk: pd, Page: a.lay.UnitPage(e.Stripe) + unitOff, Pages: e.Pages, Kind: OpParityRead, Stripe: e.Stripe})
 		parityNeeded--
 	}
-	if qd := a.lay.QDisk(e.Stripe); qd >= 0 && a.alive(qd) && parityNeeded > 0 {
+	if qd := a.lay.QDisk(e.Stripe); qd >= 0 && a.Alive(qd) && parityNeeded > 0 {
 		items = append(items, SubOp{Disk: qd, Page: a.lay.UnitPage(e.Stripe) + unitOff, Pages: e.Pages, Kind: OpParityRead, Stripe: e.Stripe})
 		parityNeeded--
 	}
 	return items, parityNeeded <= 0
 }
 
-// hedge is one extent's read raced two ways: the direct sub-op against a
-// parity reconstruction from the stripe's peers.
-type hedge struct {
-	direct SubOp
-	recon  []SubOp
-}
-
 // admitCheck applies queue-depth admission control, claiming an in-flight
 // slot for tracked requests. It returns ErrOverloaded when the array is
 // full. Requests without a completion callback are not tracked — nothing
-// would ever release their slot. The slot is returned by the callback
-// releaseBarrier builds for the same request.
+// would ever release their slot. The request's completion (see track)
+// returns the slot.
 func (a *Array) admitCheck(tracked bool) error {
 	if a.QueueLimit > 0 && a.inflight >= a.QueueLimit {
 		a.stats.Rejected++
@@ -659,25 +639,33 @@ func (a *Array) admitCheck(tracked bool) error {
 	return nil
 }
 
-// releaseBarrier is the request-level completion barrier: after n calls it
-// returns the admission slot claimed by admitCheck and fires done. Folding
-// the release into the barrier closure costs one allocation per request
-// where a separate admit wrapper plus barrier used to cost two. With
-// done == nil it returns nil (untracked request, no slot to return).
-func (a *Array) releaseBarrier(n int, done func(now sim.Time)) func(now sim.Time) {
+// request is a tracked request's admission slot.
+type request struct {
+	a              *Array
+	done, complete func(now sim.Time) // complete is r.finish, bound once
+}
+
+// track returns the completion of an admitted request's n legs, which
+// returns its admission slot and fires done; nil for an untracked request
+// (done == nil).
+func (a *Array) track(n int, done func(now sim.Time)) func(now sim.Time) {
 	if done == nil {
 		return nil
 	}
-	remain := n
-	//lint:allow hotalloc sanctioned request-completion barrier: one allocation per request, folded with the admission release (PR 7)
-	return func(t sim.Time) {
-		remain--
-		if remain != 0 {
-			return
-		}
-		a.inflight--
-		done(t)
+	r, fresh := a.requests.Get()
+	if fresh {
+		r.a, r.complete = a, r.finish
 	}
+	r.done = done
+	return a.eng.Join(n, r.complete)
+}
+
+func (r *request) finish(t sim.Time) {
+	a, done := r.a, r.done
+	a.inflight--
+	r.done = nil
+	a.requests.Put(r)
+	done(t)
 }
 
 // Inflight returns how many admitted user requests have not yet completed.
@@ -725,117 +713,58 @@ func (a *Array) ReadCancelable(now sim.Time, page, pages int, tok *Cancel, done 
 		switch {
 		case a.lay.Level == RAID1:
 			d := a.pickMirror(now)
-			if a.readError(now, d, e.Page, e.Pages) {
-				a.stats.UREs++
+			if kind, bad := a.readFault(now, d, e); bad {
+				// Fall over to a clean copy.
 				alt, ok := a.pickMirrorWithout(now, d, e.Page, e.Pages)
-				if a.Trace.Enabled() {
-					a.Trace.Emit(now, obs.Event{Kind: obs.KURE, Dev: int32(d),
-						Page: int64(e.Page), Pages: int32(e.Pages), Aux: boolInt(ok)})
-				}
+				a.noteReadFault(now, kind, d, e, ok)
 				if ok {
-					a.stats.URERepaired++
 					d = alt
-				} else {
-					a.stats.DataLossEvents++
-				}
-			} else if a.VerifyReads && a.verifyError(now, d, e.Page, e.Pages) {
-				// Silent corruption on the chosen mirror: fall over to a
-				// clean copy, exactly as the URE path does.
-				a.stats.ChecksumErrors++
-				alt, ok := a.pickMirrorWithout(now, d, e.Page, e.Pages)
-				if a.Trace.Enabled() {
-					a.Trace.Emit(now, obs.Event{Kind: obs.KChecksumError, Dev: int32(d),
-						Page: int64(e.Page), Pages: int32(e.Pages), Aux: boolInt(ok)})
-				}
-				if ok {
-					a.stats.ChecksumFixed++
-					d = alt
-				} else {
-					a.stats.DataLossEvents++
 				}
 			}
 			items = append(items, SubOp{Disk: d, Page: e.Page, Pages: e.Pages, Kind: OpDataRead, Stripe: e.Stripe})
-		case a.alive(e.Disk):
-			if a.readError(now, e.Disk, e.Page, e.Pages) {
-				// Latent sector error: reconstruct the extent from the
-				// stripe's peers when redundancy allows; otherwise record
-				// data loss and let the read occupy the channel anyway (a
-				// real drive burns the retry time before giving up).
-				a.stats.UREs++
+		case a.Alive(e.Disk):
+			if kind, bad := a.readFault(now, e.Disk, e); bad {
+				// Reconstruct the extent from the stripe's peers when
+				// redundancy allows; otherwise record data loss and let the
+				// read occupy the channel anyway (a real drive burns the
+				// retry time before giving up).
 				mark := len(items)
 				var ok bool
 				items, ok = a.appendReconstruct(items, e)
-				if a.Trace.Enabled() {
-					a.Trace.Emit(now, obs.Event{Kind: obs.KURE, Dev: int32(e.Disk),
-						Page: int64(e.Page), Pages: int32(e.Pages), Aux: boolInt(ok)})
-				}
+				a.noteReadFault(now, kind, e.Disk, e, ok)
 				if ok {
-					a.stats.URERepaired++
 					a.stats.DegradedReads++
 					continue
 				}
 				items = items[:mark]
-				a.stats.DataLossEvents++
-			} else if a.VerifyReads && a.verifyError(now, e.Disk, e.Page, e.Pages) {
-				// The read itself would succeed but deliver corrupt data:
-				// the end-to-end checksum catches it, and the extent is
-				// served from redundancy instead.
-				a.stats.ChecksumErrors++
-				mark := len(items)
-				var ok bool
-				items, ok = a.appendReconstruct(items, e)
-				if a.Trace.Enabled() {
-					a.Trace.Emit(now, obs.Event{Kind: obs.KChecksumError, Dev: int32(e.Disk),
-						Page: int64(e.Page), Pages: int32(e.Pages), Aux: boolInt(ok)})
-				}
-				if ok {
-					a.stats.ChecksumFixed++
-					a.stats.DegradedReads++
-					continue
-				}
-				items = items[:mark]
-				a.stats.DataLossEvents++
 			}
-			if a.quarantined(now, e.Disk) {
-				// An open breaker means the member is suspect, not gone: race
-				// the direct read against a parity reconstruction from the
-				// stripe's peers and settle on whichever finishes first. A
-				// pure reconstruct-read would amplify every quarantined read
-				// into N-2 data reads plus parity on the surviving members,
-				// and under pressure that fan-in is often slower than even
-				// the fail-slow member — the race takes the minimum. Parity
-				// is updated in place even for steered writes, so the
-				// reconstruction is always current. Falls through to a plain
-				// direct read when the surviving redundancy cannot cover the
-				// extent.
-				if rec, ok := a.reconstructItems(e); ok && len(rec) > 0 {
+			// A busy home disk races the direct read against a parity
+			// reconstruction (always current: parity is updated in place even
+			// for steered writes). An open breaker always does — the member is
+			// suspect, not gone, and a pure reconstruct-read's N-2 data reads
+			// plus parity are often slower under pressure than even the
+			// fail-slow member; HedgedReads adds collecting and fail-slow
+			// members. Without the redundancy to cover the extent, the read
+			// goes direct.
+			reason := int64(0)
+			switch {
+			case a.quarantined(now, e.Disk):
+				reason = 3
+			case a.HedgedReads:
+				reason = a.hedgeReason(now, e)
+			}
+			if reason != 0 {
+				if h := a.planHedge(e); h != nil {
 					a.stats.HedgedReads++
-					a.stats.QuarantineReads++
+					if reason == 3 {
+						a.stats.QuarantineReads++
+					}
 					if a.Trace.Enabled() {
 						a.Trace.Emit(now, obs.Event{Kind: obs.KHedgedRead, Dev: int32(e.Disk),
-							Page: int64(e.Page), Pages: int32(e.Pages), Aux: 3})
+							Page: int64(e.Page), Pages: int32(e.Pages), Aux: reason})
 					}
-					hedges = append(hedges, hedge{
-						direct: SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataRead, Stripe: e.Stripe},
-						recon:  rec,
-					})
+					hedges = append(hedges, h)
 					continue
-				}
-			}
-			if a.HedgedReads {
-				if reason := a.hedgeReason(now, e); reason != 0 {
-					if rec, ok := a.reconstructItems(e); ok && len(rec) > 0 {
-						a.stats.HedgedReads++
-						if a.Trace.Enabled() {
-							a.Trace.Emit(now, obs.Event{Kind: obs.KHedgedRead, Dev: int32(e.Disk),
-								Page: int64(e.Page), Pages: int32(e.Pages), Aux: reason})
-						}
-						hedges = append(hedges, hedge{
-							direct: SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataRead, Stripe: e.Stripe},
-							recon:  rec,
-						})
-						continue
-					}
 				}
 			}
 			items = append(items, SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataRead, Stripe: e.Stripe})
@@ -851,50 +780,121 @@ func (a *Array) ReadCancelable(now sim.Time, page, pages int, tok *Cancel, done 
 			items, _ = a.appendReconstruct(items, e)
 		}
 	}
-	cb := a.releaseBarrier(len(items)+len(hedges), done)
+	cb := a.track(len(items)+len(hedges), done)
 	for _, op := range items {
 		a.issue(now, op, tok, cb)
 	}
 	for _, h := range hedges {
-		a.issueHedge(now, h, tok, cb)
+		h.issue(now, tok, cb)
 	}
 	a.itemScratch, a.hedgeScratch = items[:0], hedges[:0]
 	return nil
 }
 
-// issueHedge races h.direct against the parity reconstruction h.recon and
-// reports completion when the first leg finishes. The losing leg is not
-// cancelled — as on real hardware both requests are already queued and
-// still consume channel time. The direct leg is issued first, so a tie
+// readFault reports whether reading extent e from disk d fails, and how: a
+// latent sector error (KURE) or, with VerifyReads, silent corruption the
+// end-to-end checksum catches (KChecksumError).
+func (a *Array) readFault(now sim.Time, d int, e Extent) (obs.Kind, bool) {
+	switch {
+	case a.readError(now, d, e.Page, e.Pages):
+		return obs.KURE, true
+	case a.VerifyReads && a.verifyError(now, d, e.Page, e.Pages):
+		return obs.KChecksumError, true
+	}
+	return 0, false
+}
+
+// noteReadFault counts and traces a read fault on disk d, served from
+// another copy or from redundancy when recovered, data loss otherwise.
+func (a *Array) noteReadFault(now sim.Time, kind obs.Kind, d int, e Extent, recovered bool) {
+	errs, fixed := &a.stats.ChecksumErrors, &a.stats.ChecksumFixed
+	if kind == obs.KURE {
+		errs, fixed = &a.stats.UREs, &a.stats.URERepaired
+	}
+	*errs++
+	if a.Trace.Enabled() {
+		a.Trace.Emit(now, obs.Event{Kind: kind, Dev: int32(d),
+			Page: int64(e.Page), Pages: int32(e.Pages), Aux: boolInt(recovered)})
+	}
+	if recovered {
+		*fixed++
+	} else {
+		a.stats.DataLossEvents++
+	}
+}
+
+// hedge is one extent's read raced two ways: the direct sub-op against a
+// parity reconstruction. It settles on the first leg to finish and is
+// recycled once both are in. The loser is not cancelled — on real hardware
+// both are queued and consume channel time — and keeps the token state of
+// the settle instant.
+type hedge struct {
+	a       *Array
+	direct  SubOp
+	recon   []SubOp
+	tok     Cancel // follows the request's token until the settle
+	start   sim.Time
+	done    func(now sim.Time)
+	settled bool
+
+	directDone, reconDone func(now sim.Time) // bound once per record
+}
+
+// planHedge prepares the race for extent e, or returns nil when the
+// surviving redundancy cannot reconstruct it.
+func (a *Array) planHedge(e Extent) *hedge {
+	h, fresh := a.hedges.Get()
+	if fresh {
+		h.a = a
+		h.directDone, h.reconDone = h.directWon, h.reconWon
+	}
+	var ok bool
+	h.recon, ok = a.appendReconstruct(h.recon[:0], e)
+	if !ok || len(h.recon) == 0 {
+		a.hedges.Put(h)
+		return nil
+	}
+	h.direct = SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataRead, Stripe: e.Stripe}
+	return h
+}
+
+// issue starts both legs. The direct leg is issued first, so a tie
 // deterministically resolves to it (the engine runs same-instant events in
 // scheduling order).
-func (a *Array) issueHedge(now sim.Time, h hedge, tok *Cancel, done func(now sim.Time)) {
-	settled := false
-	//lint:allow hotalloc hedge settle factory runs only when HedgedReads is enabled and a member is in GC
-	settle := func(reconWon bool) func(t sim.Time) {
-		//lint:allow hotalloc per-leg settle closure, same opt-in hedged-read path
-		return func(t sim.Time) {
-			if settled {
-				return
-			}
-			settled = true
-			if reconWon {
-				a.stats.HedgeReconWins++
-			}
-			if a.Trace.Enabled() {
-				a.Trace.Emit(t, obs.Event{Kind: obs.KHedgeWin, Dev: int32(h.direct.Disk),
-					Page: int64(h.direct.Page), Pages: int32(h.direct.Pages),
-					Aux: boolInt(reconWon), Aux2: int64(t - now)})
-			}
-			if done != nil {
-				done(t)
-			}
-		}
-	}
-	a.issue(now, h.direct, tok, settle(false))
-	reconDone := barrier(len(h.recon), settle(true))
+func (h *hedge) issue(now sim.Time, tok *Cancel, done func(now sim.Time)) {
+	a := h.a
+	h.start, h.done, h.settled, h.tok = now, done, false, Cancel{parent: tok}
+	a.issue(now, h.direct, &h.tok, h.directDone)
+	recon := a.eng.Join(len(h.recon), h.reconDone)
 	for _, op := range h.recon {
-		a.issue(now, op, tok, reconDone)
+		a.issue(now, op, &h.tok, recon)
+	}
+}
+
+func (h *hedge) directWon(t sim.Time) { h.leg(t, false) }
+func (h *hedge) reconWon(t sim.Time)  { h.leg(t, true) }
+
+// leg is one leg's completion: the first settles the read, the second
+// recycles the record.
+func (h *hedge) leg(t sim.Time, recon bool) {
+	a := h.a
+	if h.settled {
+		h.done = nil
+		a.hedges.Put(h)
+		return
+	}
+	h.settled = true
+	h.tok = Cancel{canceled: h.tok.Canceled()}
+	if recon {
+		a.stats.HedgeReconWins++
+	}
+	if a.Trace.Enabled() {
+		a.Trace.Emit(t, obs.Event{Kind: obs.KHedgeWin, Dev: int32(h.direct.Disk),
+			Page: int64(h.direct.Page), Pages: int32(h.direct.Pages),
+			Aux: boolInt(recon), Aux2: int64(t - h.start)})
+	}
+	if h.done != nil {
+		h.done(t)
 	}
 }
 
@@ -903,7 +903,7 @@ func (a *Array) issueHedge(now sim.Time, h hedge, tok *Cancel, done func(now sim
 // With VerifyReads enabled a silently-corrupt copy is rejected too.
 func (a *Array) pickMirrorWithout(now sim.Time, skip, page, pages int) (int, bool) {
 	for d := 0; d < a.lay.Disks; d++ {
-		if d == skip || !a.alive(d) {
+		if d == skip || !a.Alive(d) {
 			continue
 		}
 		if a.readError(now, d, page, pages) {
@@ -923,14 +923,14 @@ func (a *Array) pickMirrorWithout(now sim.Time, skip, page, pages int) (int, boo
 func (a *Array) pickMirror(now sim.Time) int {
 	for i := 0; i < a.lay.Disks; i++ {
 		d := (a.mirrorNext + i) % a.lay.Disks
-		if a.alive(d) && !a.quarantined(now, d) {
+		if a.Alive(d) && !a.quarantined(now, d) {
 			a.mirrorNext = (d + 1) % a.lay.Disks
 			return d
 		}
 	}
 	for i := 0; i < a.lay.Disks; i++ {
 		d := (a.mirrorNext + i) % a.lay.Disks
-		if a.alive(d) {
+		if a.Alive(d) {
 			a.mirrorNext = (d + 1) % a.lay.Disks
 			return d
 		}
@@ -977,7 +977,7 @@ func (a *Array) WriteCancelable(now sim.Time, page, pages int, tok *Cancel, done
 
 	switch a.lay.Level {
 	case RAID0:
-		cb := a.releaseBarrier(len(exts), done)
+		cb := a.track(len(exts), done)
 		for _, e := range exts {
 			a.issue(now, SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataWrite, Stripe: e.Stripe}, tok, cb)
 		}
@@ -985,14 +985,14 @@ func (a *Array) WriteCancelable(now sim.Time, page, pages int, tok *Cancel, done
 	case RAID1:
 		alive := 0
 		for d := 0; d < a.lay.Disks; d++ {
-			if a.alive(d) {
+			if a.Alive(d) {
 				alive++
 			}
 		}
-		cb := a.releaseBarrier(len(exts)*alive, done)
+		cb := a.track(len(exts)*alive, done)
 		for _, e := range exts {
 			for d := 0; d < a.lay.Disks; d++ {
-				if a.alive(d) {
+				if a.Alive(d) {
 					a.issue(now, SubOp{Disk: d, Page: e.Page, Pages: e.Pages, Kind: OpDataWrite, Stripe: e.Stripe}, tok, cb)
 				}
 			}
@@ -1011,7 +1011,7 @@ func (a *Array) WriteCancelable(now sim.Time, page, pages int, tok *Cancel, done
 			start = i
 		}
 	}
-	cb := a.releaseBarrier(len(groups), done)
+	cb := a.track(len(groups), done)
 	for _, g := range groups {
 		a.writeStripe(now, g, tok, cb)
 	}
@@ -1025,33 +1025,23 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 	st := g.stripe
 	base := lay.UnitPage(st)
 
+	w, fresh := a.stripeWrites.Get()
+	if fresh {
+		w.a = a
+		w.kick, w.complete = w.issuePhase2, w.finish
+	}
+	w.tok, w.done = tok, done
+
 	// Write-ahead intent: the stripe is marked dirty before any leg is
 	// issued, so a power cut at any later instant finds the mark in the
 	// journal. The write legs are registered once the phase-2 list exists.
-	var it *intent
 	if a.Intents != nil {
-		it = a.Intents.mark(st)
-		done = a.journalClear(it, done)
+		w.it = a.Intents.mark(st)
 	}
 
-	// Union of touched in-unit offsets (contiguous for a contiguous write).
-	lo, hi := lay.UnitPages, 0
-	covered := 0
-	for _, e := range g.exts {
-		off := e.Page - base
-		if off < lo {
-			lo = off
-		}
-		if off+e.Pages > hi {
-			hi = off + e.Pages
-		}
-		covered += e.Pages
-	}
+	lo, hi, written, covered := a.span(g)
 	parityPages := hi - lo
-	fullStripe := covered == lay.DataDisks()*lay.UnitPages
-
-	pd := lay.ParityDisk(st)
-	qd := lay.QDisk(st)
+	fullStripe := written == lay.DataDisks()*lay.UnitPages
 
 	// Does any failed disk hold one of this stripe's data units?
 	failedData := false
@@ -1062,25 +1052,19 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 		}
 	}
 
-	// Phase 2 (writes) shared by every path below. The list may be retained
-	// by the phase-1 barrier until the reads complete, so it comes from the
-	// free list rather than the per-call scratch.
-	phase2 := a.getSubOps()
+	// Phase 2 (writes) shared by every path below; it waits in the record
+	// for the phase-1 reads.
+	phase2 := w.phase2[:0]
 	for _, e := range g.exts {
-		if a.alive(e.Disk) {
+		if a.Alive(e.Disk) {
 			phase2 = append(phase2, SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpDataWrite, Stripe: st})
 		}
 		// A write whose unit lives on the failed disk exists only through
 		// parity — no data sub-op.
 	}
-	if pd >= 0 && a.alive(pd) {
-		phase2 = append(phase2, SubOp{Disk: pd, Page: base + lo, Pages: parityPages, Kind: OpParityWrite, Stripe: st})
-		a.stats.ParityPages += int64(parityPages)
-	}
-	if qd >= 0 && a.alive(qd) {
-		phase2 = append(phase2, SubOp{Disk: qd, Page: base + lo, Pages: parityPages, Kind: OpParityWrite, Stripe: st})
-		a.stats.ParityPages += int64(parityPages)
-	}
+	n := len(phase2)
+	phase2 = a.appendParity(phase2, st, base+lo, parityPages, OpParityWrite)
+	a.stats.ParityPages += int64((len(phase2) - n) * parityPages)
 
 	// Phase 1 (reads): per-array scratch, fully issued before this call
 	// returns.
@@ -1095,31 +1079,22 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 		a.stats.ReconstructWr++
 		for idx := 0; idx < lay.DataDisks(); idx++ {
 			d := lay.DataDisk(st, idx)
-			if !a.alive(d) {
+			if !a.Alive(d) {
 				continue
 			}
 			phase1 = append(phase1, SubOp{Disk: d, Page: base + lo, Pages: parityPages, Kind: OpOldDataRead, Stripe: st})
 		}
-		if pd >= 0 && a.alive(pd) {
-			phase1 = append(phase1, SubOp{Disk: pd, Page: base + lo, Pages: parityPages, Kind: OpParityRead, Stripe: st})
-		}
-		if qd >= 0 && a.alive(qd) {
-			phase1 = append(phase1, SubOp{Disk: qd, Page: base + lo, Pages: parityPages, Kind: OpParityRead, Stripe: st})
-		}
-	case a.gcAvoidWanted(now, g):
+		phase1 = a.appendParity(phase1, st, base+lo, parityPages, OpParityRead)
+	case a.gcAvoidWanted(now, g, lo, hi, covered):
 		// GC-aware reconstruct-write: the old-data read of classic RMW
 		// would queue behind garbage collection, so parity is re-encoded
 		// from the stripe's other data units instead — every read lands on
 		// a healthy disk. Units partially covered by the write still need
 		// their uncovered sub-ranges read.
 		a.stats.GCAvoidWrites++
-		covered := a.cover()
-		for _, e := range g.exts {
-			covered[e.DataIdx] = [2]int{e.Page - base, e.Page - base + e.Pages}
-		}
 		for idx := 0; idx < lay.DataDisks(); idx++ {
 			d := lay.DataDisk(st, idx)
-			if !a.alive(d) {
+			if !a.Alive(d) {
 				continue
 			}
 			c := covered[idx]
@@ -1140,64 +1115,97 @@ func (a *Array) writeStripe(now sim.Time, g stripeGroup, tok *Cancel, done func(
 		for _, e := range g.exts {
 			phase1 = append(phase1, SubOp{Disk: e.Disk, Page: e.Page, Pages: e.Pages, Kind: OpOldDataRead, Stripe: st})
 		}
-		if pd >= 0 && a.alive(pd) {
-			phase1 = append(phase1, SubOp{Disk: pd, Page: base + lo, Pages: parityPages, Kind: OpParityRead, Stripe: st})
-		}
-		if qd >= 0 && a.alive(qd) {
-			phase1 = append(phase1, SubOp{Disk: qd, Page: base + lo, Pages: parityPages, Kind: OpParityRead, Stripe: st})
-		}
+		phase1 = a.appendParity(phase1, st, base+lo, parityPages, OpParityRead)
 	}
 
-	if it != nil {
-		a.Intents.register(it, phase2)
+	w.phase2 = phase2
+	if w.it != nil {
+		a.Intents.register(w.it, phase2)
 		if a.Intents.Journaled && a.Trace.Enabled() {
 			a.Trace.Emit(now, obs.Event{Kind: obs.KJournalMark, Dev: -1, Page: -1,
 				Aux: int64(st), Aux2: int64(len(phase2))})
 		}
-		if len(phase1) == 0 {
-			a.issuePhase2Journal(now, phase2, tok, done, it)
-			return
-		}
-		//lint:allow hotalloc phase-2 kick closure on the opt-in journal path (a.Intents != nil)
-		cb := barrier(len(phase1), func(t sim.Time) { a.issuePhase2Journal(t, phase2, tok, done, it) })
-		for _, op := range phase1 {
-			a.issue(now, op, tok, cb)
-		}
-		a.phase1Scratch = phase1[:0]
-		return
 	}
 
 	if len(phase1) == 0 {
 		// No read phase (full-stripe write, or nothing readable): the write
-		// phase starts now, with no deferred closure needed.
-		a.issuePhase2(now, phase2, tok, done)
+		// phase starts now.
+		w.issuePhase2(now)
 		return
 	}
-	//lint:allow hotalloc sanctioned phase-2 kick: one deferred closure per partial-stripe write (PR 7)
-	cb := barrier(len(phase1), func(t sim.Time) { a.issuePhase2(t, phase2, tok, done) })
+	cb := a.eng.Join(len(phase1), w.kick)
 	for _, op := range phase1 {
 		a.issue(now, op, tok, cb)
 	}
 	a.phase1Scratch = phase1[:0]
 }
 
-// issuePhase2 issues the write phase of one stripe write and returns the
-// sub-op list to the free list. With an empty list — every target (data
-// and parity) is on the failed disk — the write completes trivially (data
-// is lost only if redundancy is already gone, which FailDisk prevents).
-func (a *Array) issuePhase2(t sim.Time, phase2 []SubOp, tok *Cancel, done func(now sim.Time)) {
-	if len(phase2) == 0 {
-		a.putSubOps(phase2)
-		if done != nil {
-			a.eng.At(t, done)
+// stripeWrite is one RAID5/6 stripe write in flight: the phase-2 list its
+// phase-1 reads release, and its completion once every write leg is in —
+// the intent-journal clear, when the journal is armed, then done.
+type stripeWrite struct {
+	a              *Array
+	phase2         []SubOp
+	tok            *Cancel
+	done           func(now sim.Time)
+	it             *intent            // the stripe's journal entry, or nil
+	kick, complete func(now sim.Time) // bound once per record
+}
+
+// issuePhase2 issues the write phase. An empty list — every target on the
+// failed disk — completes trivially (data is lost only if redundancy is
+// already gone, which FailDisk prevents). With nothing to report to, the
+// legs carry no callback and the record is recycled at once.
+func (w *stripeWrite) issuePhase2(t sim.Time) {
+	a := w.a
+	var fin func(now sim.Time)
+	if w.done != nil || w.it != nil {
+		fin = w.complete
+	}
+	if w.it != nil {
+		w.it.issued = true
+	}
+	if len(w.phase2) == 0 {
+		if fin != nil {
+			a.eng.At(t, fin)
+		} else {
+			a.putStripeWrite(w)
 		}
 		return
 	}
-	cb := barrier(len(phase2), done)
-	for _, op := range phase2 {
-		a.issue(t, op, tok, cb)
+	cb := a.eng.Join(len(w.phase2), fin)
+	for i, op := range w.phase2 {
+		leg := cb
+		if w.it != nil {
+			w.it.fan = cb
+			leg = w.it.legs[i].fire
+		}
+		a.issue(t, op, w.tok, leg)
 	}
-	a.putSubOps(phase2)
+	if fin == nil {
+		a.putStripeWrite(w)
+	}
+}
+
+// finish is the stripe write's completion.
+func (w *stripeWrite) finish(t sim.Time) {
+	a, done, it := w.a, w.done, w.it
+	a.putStripeWrite(w)
+	if it != nil {
+		a.Intents.clear(it)
+		if a.Intents.Journaled && a.Trace.Enabled() {
+			a.Trace.Emit(t, obs.Event{Kind: obs.KJournalClear, Dev: -1, Page: -1,
+				Aux: int64(it.stripe)})
+		}
+	}
+	if done != nil {
+		done(t)
+	}
+}
+
+func (a *Array) putStripeWrite(w *stripeWrite) {
+	w.tok, w.done, w.it = nil, nil, nil
+	a.stripeWrites.Put(w)
 }
 
 // gcAvoidWanted reports whether a partial-stripe write should use the
@@ -1205,7 +1213,7 @@ func (a *Array) issuePhase2(t sim.Time, phase2 []SubOp, tok *Cancel, done func(n
 // each strategy would send to currently-busy disks — collecting or
 // health-quarantined — and switches to reconstruct-write only when that
 // strictly reduces the exposure.
-func (a *Array) gcAvoidWanted(now sim.Time, g stripeGroup) bool {
+func (a *Array) gcAvoidWanted(now sim.Time, g stripeGroup, lo, hi int, covered [][2]int) bool {
 	if !a.GCAwareWrites {
 		return false
 	}
@@ -1214,20 +1222,6 @@ func (a *Array) gcAvoidWanted(now sim.Time, g stripeGroup) bool {
 	}
 	lay := a.lay
 	st := g.stripe
-	base := lay.UnitPage(st)
-
-	lo, hi := lay.UnitPages, 0
-	covered := a.cover()
-	for _, e := range g.exts {
-		off := e.Page - base
-		if off < lo {
-			lo = off
-		}
-		if off+e.Pages > hi {
-			hi = off + e.Pages
-		}
-		covered[e.DataIdx] = [2]int{off, off + e.Pages}
-	}
 
 	// RMW phase 1: old data of written units + parity reads.
 	rmw := 0

@@ -1,9 +1,6 @@
 package raid
 
-import (
-	"gcsteering/internal/obs"
-	"gcsteering/internal/sim"
-)
+import "gcsteering/internal/sim"
 
 // IntentLog is the array's write-ahead dirty-stripe intent journal — the
 // mechanism that closes the RAID write hole. Every RAID5/6 stripe write
@@ -28,14 +25,16 @@ type IntentLog struct {
 	//gcsvet:inert
 	Journaled bool
 
-	open          []*intent // in mark order; completed entries removed
-	marks, clears int64
+	open []*intent // in mark order; completed entries removed
 }
 
 // intentLeg is one phase-2 write leg registered under an intent.
 type intentLeg struct {
 	op   SubOp
 	done bool
+	// fire is the leg's completion: it flips done, so a power cut can tell
+	// persisted legs from pending ones, and arrives at the intent's fan.
+	fire func(now sim.Time)
 }
 
 // intent is one in-flight stripe write's journal entry. Concurrent writes
@@ -44,16 +43,9 @@ type intentLeg struct {
 type intent struct {
 	stripe int
 	issued bool // phase 2 has begun: legs may be on the flash
-	done   int  // completed legs
 	legs   []intentLeg
+	fan    func(now sim.Time) // the stripe write's phase-2 fan-in
 }
-
-// Marks and Clears report the cumulative journal activity.
-func (l *IntentLog) Marks() int64  { return l.marks }
-func (l *IntentLog) Clears() int64 { return l.clears }
-
-// Open reports how many intents are currently open (dirty stripe entries).
-func (l *IntentLog) Open() int { return len(l.open) }
 
 // mark opens a journal entry for stripe st ahead of its write fan-out.
 //
@@ -66,23 +58,22 @@ func (l *IntentLog) Open() int { return len(l.open) }
 func (l *IntentLog) mark(st int) *intent {
 	it := &intent{stripe: st}
 	l.open = append(l.open, it)
-	l.marks++
 	return it
 }
 
 // register records the phase-2 legs the entry covers (copied: the sub-op
-// slice returns to the array's free list once issued).
+// list is recycled with its stripe-write record).
 //
 // gcsvet: opt-in journal bookkeeping, cold for the same reason as mark.
 //
 //gcsvet:cold
 func (l *IntentLog) register(it *intent, phase2 []SubOp) {
-	if cap(it.legs) < len(phase2) {
-		it.legs = make([]intentLeg, 0, len(phase2))
-	}
-	it.legs = it.legs[:0]
-	for _, op := range phase2 {
-		it.legs = append(it.legs, intentLeg{op: op})
+	it.legs = make([]intentLeg, len(phase2))
+	for i, op := range phase2 {
+		it.legs[i] = intentLeg{op: op, fire: func(t sim.Time) {
+			it.legs[i].done = true
+			it.fan(t)
+		}}
 	}
 }
 
@@ -94,7 +85,6 @@ func (l *IntentLog) clear(it *intent) {
 			break
 		}
 	}
-	l.clears++
 }
 
 // StripeIntent is one open journal entry harvested at a power cut.
@@ -120,60 +110,15 @@ func (a *Array) OpenIntents() []StripeIntent {
 	}
 	out := make([]StripeIntent, 0, len(a.Intents.open))
 	for _, it := range a.Intents.open {
-		si := StripeIntent{Stripe: it.stripe, Issued: it.issued, Legs: len(it.legs), LegsDone: it.done}
+		si := StripeIntent{Stripe: it.stripe, Issued: it.issued, Legs: len(it.legs)}
 		for _, leg := range it.legs {
-			if !leg.done {
+			if leg.done {
+				si.LegsDone++
+			} else {
 				si.Pending = append(si.Pending, leg.op)
 			}
 		}
 		out = append(out, si)
 	}
 	return out
-}
-
-// journalClear wraps a stripe-write completion callback with the journal
-// retire, emitting the clear event under full journal semantics.
-//
-// gcsvet: opt-in journal path (a.Intents != nil), cold for hotalloc.
-//
-//gcsvet:cold
-func (a *Array) journalClear(it *intent, done func(now sim.Time)) func(now sim.Time) {
-	return func(t sim.Time) {
-		a.Intents.clear(it)
-		if a.Intents.Journaled && a.Trace.Enabled() {
-			a.Trace.Emit(t, obs.Event{Kind: obs.KJournalClear, Dev: -1, Page: -1,
-				Aux: int64(it.stripe)})
-		}
-		if done != nil {
-			done(t)
-		}
-	}
-}
-
-// issuePhase2Journal is issuePhase2 with per-leg completion tracking, used
-// only when the intent journal is armed: each leg's callback flips its done
-// flag so a power cut can tell persisted legs from pending ones.
-//
-// gcsvet: opt-in journal path (a.Intents != nil), cold for hotalloc.
-//
-//gcsvet:cold
-func (a *Array) issuePhase2Journal(t sim.Time, phase2 []SubOp, tok *Cancel, done func(now sim.Time), it *intent) {
-	it.issued = true
-	if len(phase2) == 0 {
-		a.putSubOps(phase2)
-		if done != nil {
-			a.eng.At(t, done)
-		}
-		return
-	}
-	cb := barrier(len(phase2), done)
-	for li, op := range phase2 {
-		leg := &it.legs[li]
-		a.issue(t, op, tok, func(tt sim.Time) {
-			leg.done = true
-			it.done++
-			cb(tt)
-		})
-	}
-	a.putSubOps(phase2)
 }

@@ -232,13 +232,12 @@ func (r *Rebuilder) rebuildUnit(startAt sim.Time) {
 
 	// Read the stripe's unit from every surviving member.
 	var sources []int
-	for d := 0; d < lay.Disks; d++ {
-		if r.arr.Alive(d) {
-			sources = append(sources, d)
-		}
-	}
 	errs := 0
-	for _, d := range sources {
+	for d := 0; d < lay.Disks; d++ {
+		if !r.arr.Alive(d) {
+			continue
+		}
+		sources = append(sources, d)
 		if f, ok := disks[d].(raid.Faulty); ok && f.ReadError(startAt, base, lay.UnitPages) {
 			errs++
 		}
@@ -251,13 +250,8 @@ func (r *Rebuilder) rebuildUnit(startAt sim.Time) {
 			r.stats.DataLossUnits++
 		}
 	}
-	remain := len(sources)
 	earliestNext := startAt + r.interval
-	onRead := func(t sim.Time) {
-		remain--
-		if remain > 0 {
-			return
-		}
+	onRead := r.eng.Join(len(sources), func(t sim.Time) {
 		// All survivor reads done: write the regenerated unit.
 		r.sink.WriteUnit(t, base, lay.UnitPages, func(wt sim.Time) {
 			r.stats.UnitsRebuilt++
@@ -267,13 +261,9 @@ func (r *Rebuilder) rebuildUnit(startAt sim.Time) {
 					Page: int64(base), Pages: int32(lay.UnitPages),
 					Aux: r.stats.UnitsRebuilt, Aux2: int64(r.stripes)})
 			}
-			next := wt
-			if earliestNext > next {
-				next = earliestNext
-			}
-			r.eng.At(next, func(nt sim.Time) { r.rebuildUnit(nt) })
+			r.eng.At(max(wt, earliestNext), r.rebuildUnit)
 		})
-	}
+	})
 	for _, d := range sources {
 		r.stats.PagesRead += int64(lay.UnitPages)
 		must(disks[d].Read(startAt, base, lay.UnitPages, onRead))

@@ -145,13 +145,7 @@ func (r *Resyncer) step(now sim.Time) {
 	dirty := len(torn) > 0 || (r.Inconsistent != nil && r.Inconsistent(st))
 
 	earliestNext := now + r.interval
-	finish := func(t sim.Time) {
-		next := t
-		if earliestNext > next {
-			next = earliestNext
-		}
-		r.eng.At(next, r.step)
-	}
+	finish := func(t sim.Time) { r.eng.At(max(t, earliestNext), r.step) }
 	if r.Trace.Enabled() {
 		found := int64(0)
 		if dirty {
@@ -164,18 +158,13 @@ func (r *Resyncer) step(now sim.Time) {
 		finish(now)
 		return
 	}
-	remain := len(sources)
-	onRead := func(t sim.Time) {
-		remain--
-		if remain > 0 {
-			return
-		}
+	onRead := r.eng.Join(len(sources), func(t sim.Time) {
 		if !dirty {
 			finish(t)
 			return
 		}
 		r.repair(t, st, torn, finish)
-	}
+	})
 	for _, d := range sources {
 		r.stats.PagesRead += int64(lay.UnitPages)
 		must(disks[d].Read(now, base, lay.UnitPages, onRead))
@@ -215,13 +204,7 @@ func (r *Resyncer) repair(now sim.Time, st int, torn []int, done func(sim.Time))
 		done(now)
 		return
 	}
-	remain := len(targets)
-	cb := func(t sim.Time) {
-		remain--
-		if remain == 0 {
-			done(t)
-		}
-	}
+	cb := r.eng.Join(len(targets), done)
 	for _, d := range targets {
 		if m, ok := disks[d].(media); ok {
 			m.RepairPages(base, lay.UnitPages)

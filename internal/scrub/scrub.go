@@ -311,25 +311,12 @@ func (s *Scrubber) scrubStripe(now sim.Time) {
 		}
 	}
 	earliestNext := now + s.interval
-	finish := func(t sim.Time) {
-		next := t
-		if earliestNext > next {
-			next = earliestNext
-		}
-		s.eng.At(next, s.scrubStripe)
-	}
+	finish := func(t sim.Time) { s.eng.At(max(t, earliestNext), s.scrubStripe) }
 	if len(sources) == 0 {
 		finish(now)
 		return
 	}
-	remain := len(sources)
-	onRead := func(t sim.Time) {
-		remain--
-		if remain > 0 {
-			return
-		}
-		s.repair(t, st, bad, finish)
-	}
+	onRead := s.eng.Join(len(sources), func(t sim.Time) { s.repair(t, st, bad, finish) })
 	for _, d := range sources {
 		s.stats.PagesRead += int64(lay.UnitPages)
 		must(disks[d].Read(now, base, lay.UnitPages, onRead))
@@ -353,13 +340,7 @@ func (s *Scrubber) repair(now sim.Time, st int, bad []int, done func(sim.Time)) 
 	lay := s.arr.Layout()
 	base := lay.UnitPage(st)
 	disks := s.arr.Disks()
-	remain := len(bad)
-	cb := func(t sim.Time) {
-		remain--
-		if remain == 0 {
-			done(t)
-		}
-	}
+	cb := s.eng.Join(len(bad), done)
 	for _, d := range bad {
 		lat, cor := disks[d].(media).RepairPages(base, lay.UnitPages)
 		s.stats.UnitsRepaired++

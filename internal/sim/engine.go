@@ -67,6 +67,8 @@ type Engine struct {
 
 	probe      func(now Time, pending int)
 	probeEvery uint64
+
+	joins FreeList[join] // recycled fan-in records (see Join)
 }
 
 // NewEngine returns an engine with its clock at zero and no pending events.

@@ -96,6 +96,7 @@ type System struct {
 	held       []heldArrival
 	arrivalLag int64
 
+	requests     sim.FreeList[request]
 	deadlineHits int64 // requests cancelled at their deadline
 	rejected     int64 // requests refused by admission control
 
@@ -376,58 +377,33 @@ func (s *System) submit(now sim.Time, r Record) {
 			Page: int64(page), Pages: int32(pages),
 			Aux: boolInt(r.Write), Aux2: seq})
 	}
-	// The settled flag arbitrates between normal completion and the
-	// deadline event (whichever fires first wins, the loser is a no-op).
-	// Settling itself is a method, not a nested closure, so the common
-	// no-deadline case allocates one callback per request instead of two.
-	isWrite := r.Write
-	settled := false
-	lag := s.arrivalLag
-	done := func(t sim.Time) { //lint:allow hotalloc sanctioned one completion callback per request; see comment above
-		if settled {
-			return
-		}
-		settled = true
-		d := int64(t-now) + lag
-		if s.trace.Enabled() {
-			s.trace.Emit(t, obs.Event{Kind: obs.KComplete, Dev: -1, Page: -1,
-				Aux: d, Aux2: seq})
-		}
-		s.settleRequest(now, seq, d, isWrite, degraded, inGC)
+	q, fresh := s.requests.Get()
+	if fresh {
+		q.s = s
+		q.complete, q.expire, q.recycle = q.finish, q.timeout, q.free
 	}
+	q.arrival, q.seq, q.lag, q.page, q.pages = now, seq, s.arrivalLag, page, pages
+	q.isWrite, q.degraded, q.inGC, q.settled = r.Write, degraded, inGC, false
+	q.tok = raid.Cancel{}
 	var tok *raid.Cancel
-	deadline := sim.Time(s.cfg.DeadlineUs * float64(sim.Microsecond))
-	if deadline > 0 {
-		//lint:allow hotalloc opt-in DeadlineUs path: token and timer exist only when deadlines are configured
-		tok = &raid.Cancel{}
-		//lint:allow hotalloc opt-in DeadlineUs path: one deadline timer per request is the feature's cost
-		s.eng.At(now+deadline, func(t sim.Time) {
-			if settled {
-				return
-			}
-			settled = true
-			tok.Cancel() // queued sub-ops (backed-off retries, RMW phases) absorb
-			s.deadlineHits++
-			if s.trace.Enabled() {
-				s.trace.Emit(t, obs.Event{Kind: obs.KDeadlineExceeded, Dev: -1,
-					Page: int64(page), Pages: int32(pages),
-					Aux: int64(deadline), Aux2: seq})
-			}
-			// The requester gave up at the deadline, so that is the
-			// user-visible response time.
-			s.settleRequest(now, seq, int64(deadline)+lag, isWrite, degraded, inGC)
-		})
+	refs := 1 // the completion, and the deadline timer when armed
+	if deadline := sim.Time(s.cfg.DeadlineUs * float64(sim.Microsecond)); deadline > 0 {
+		tok, refs, q.deadline = &q.tok, 2, deadline
+		s.eng.At(now+deadline, q.expire)
 	}
+	q.release = s.eng.Join(refs, q.recycle)
 	var err error
 	if r.Write {
-		err = s.arr.WriteCancelable(now, page, pages, tok, done)
+		err = s.arr.WriteCancelable(now, page, pages, tok, q.complete)
 	} else {
-		err = s.arr.ReadCancelable(now, page, pages, tok, done)
+		err = s.arr.ReadCancelable(now, page, pages, tok, q.complete)
 	}
 	if errors.Is(err, raid.ErrOverloaded) {
 		// Admission control shed this request: no sub-ops were issued and
-		// done will never fire. Count it, don't record a response time.
-		settled = true
+		// its completion will never fire. Count it, don't record a
+		// response time.
+		q.settled = true
+		q.release(now) // the completion's reference
 		s.inFlight--
 		s.rejected++
 		if s.onRequest != nil {
@@ -447,29 +423,80 @@ func (s *System) submit(now sim.Time, r Record) {
 	}
 }
 
-// settleRequest records one settled request's response time against the
-// phase it was classified into at arrival. now is the arrival instant (the
-// time-series window the request belongs to), d the response time in
-// nanoseconds.
-func (s *System) settleRequest(now sim.Time, seq, d int64, isWrite, degraded, inGC bool) {
+// request is one submitted request's slot: what settling it needs, the
+// token its sub-ops read, and its callbacks, bound once per slot. The
+// settled flag arbitrates between the completion and the deadline timer
+// (the first settles, the other is a no-op); release joins the two, so the
+// slot is recycled only after both have fired and neither ever reaches a
+// reused slot.
+type request struct {
+	s                       *System
+	arrival, deadline       sim.Time
+	seq, lag                int64
+	page, pages             int
+	isWrite, degraded, inGC bool
+	settled                 bool
+	tok                     raid.Cancel
+	release                 func(now sim.Time)
+
+	complete, expire, recycle func(now sim.Time) // bound once per slot
+}
+
+// finish is the request's completion.
+func (q *request) finish(t sim.Time) {
+	if !q.settled {
+		d := int64(t-q.arrival) + q.lag
+		if q.s.trace.Enabled() {
+			q.s.trace.Emit(t, obs.Event{Kind: obs.KComplete, Dev: -1, Page: -1,
+				Aux: d, Aux2: q.seq})
+		}
+		q.settle(d)
+	}
+	q.release(t)
+}
+
+// timeout is the deadline timer: an unsettled request is cancelled, and
+// the deadline is its user-visible response time (the requester gave up).
+func (q *request) timeout(t sim.Time) {
+	if s := q.s; !q.settled {
+		q.tok.Cancel() // queued sub-ops (backed-off retries, RMW phases) absorb
+		s.deadlineHits++
+		if s.trace.Enabled() {
+			s.trace.Emit(t, obs.Event{Kind: obs.KDeadlineExceeded, Dev: -1,
+				Page: int64(q.page), Pages: int32(q.pages),
+				Aux: int64(q.deadline), Aux2: q.seq})
+		}
+		q.settle(int64(q.deadline) + q.lag)
+	}
+	q.release(t)
+}
+
+func (q *request) free(sim.Time) { q.s.requests.Put(q) }
+
+// settle records the request's response time d (ns) against the phase it
+// was classified into at arrival, in the time-series window of its
+// arrival.
+func (q *request) settle(d int64) {
+	s := q.s
+	q.settled = true
 	s.inFlight--
 	if s.onRequest != nil {
-		s.onRequest(seq, d, false)
+		s.onRequest(q.seq, d, false)
 	}
 	s.lat.Observe(d)
-	s.rec.Observe(int64(now), d)
+	s.rec.Observe(int64(q.arrival), d)
 	switch {
-	case degraded:
+	case q.degraded:
 		s.degLat.Observe(d)
-	case inGC:
+	case q.inGC:
 		s.gcLat.Observe(d)
-		if !isWrite {
+		if !q.isWrite {
 			s.gcRdLat.Observe(d)
 		}
 	default:
 		s.quietLat.Observe(d)
 	}
-	if isWrite {
+	if q.isWrite {
 		s.writeLat.Observe(d)
 	} else {
 		s.readLat.Observe(d)

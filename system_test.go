@@ -1,6 +1,7 @@
 package gcsteering
 
 import (
+	"math"
 	"testing"
 
 	"gcsteering/internal/core"
@@ -49,6 +50,26 @@ func TestConfigValidation(t *testing.T) {
 			c.Scheme = SchemeLGC
 			c.Fault.RebuildTarget = RebuildToStaging
 		}},
+		// Every ms/µs field must convert to engine nanoseconds inside the
+		// simulation horizon: past it the conversion overflows.
+		{"DeadlineUs past the horizon", func(c *Config) { c.DeadlineUs = 1e16 }},
+		{"RetryBackoffUs past the horizon", func(c *Config) { c.RetryBackoffUs = 1e17 }},
+		{"PowerLossAtMs past the horizon", func(c *Config) { c.PowerLossAtMs = 1e13 }},
+		{"GCOverheadMs past the horizon", func(c *Config) { c.GCOverheadMs = 1e13 }},
+		{"RepairDelayMs past the horizon", func(c *Config) { c.Fault.RepairDelayMs = 1e13 }},
+		{"failure AtMs past the horizon", func(c *Config) {
+			c.Fault.Failures = []DiskFault{{Disk: 0, AtMs: 1e13}}
+		}},
+		{"slowdown StartMs past the horizon", func(c *Config) {
+			c.Fault.Slowdowns = []DiskSlowdown{{Disk: 0, Channel: -1, StartMs: 1e13, DurationMs: 1, ExtraPerOpUs: 1}}
+		}},
+		{"slowdown DurationMs past the horizon", func(c *Config) {
+			c.Fault.Slowdowns = []DiskSlowdown{{Disk: 0, Channel: -1, DurationMs: 1e13, ExtraPerOpUs: 1}}
+		}},
+		{"slowdown ExtraPerOpUs past the horizon", func(c *Config) {
+			c.Fault.Slowdowns = []DiskSlowdown{{Disk: 0, Channel: -1, DurationMs: 1, ExtraPerOpUs: 1e16}}
+		}},
+		{"NaN DeadlineUs", func(c *Config) { c.DeadlineUs = math.NaN() }},
 	} {
 		bad := cfg
 		tc.set(&bad)
