@@ -425,8 +425,20 @@ func (c Config) Validate() error {
 	if c.StripeUnitKB <= 0 || (c.StripeUnitKB*1024)%c.Flash.PageSize != 0 {
 		return fmt.Errorf("gcsteering: StripeUnitKB %d not a page multiple", c.StripeUnitKB)
 	}
-	if c.ReservedFrac < 0 || c.ReservedFrac > 0.5 {
+	// The fraction checks are written so that NaN fails too.
+	if !(c.ReservedFrac >= 0 && c.ReservedFrac <= 0.5) {
 		return fmt.Errorf("gcsteering: ReservedFrac %v outside [0, 0.5]", c.ReservedFrac)
+	}
+	if !(c.StagingReadFrac >= 0 && c.StagingReadFrac <= 1) {
+		return fmt.Errorf("gcsteering: StagingReadFrac %v outside [0, 1]", c.StagingReadFrac)
+	}
+	if math.IsNaN(c.HotFrac) {
+		return fmt.Errorf("gcsteering: HotFrac is NaN")
+	}
+	// A NaN overwrite would also skip the warm-up and never match its own
+	// Warmup key.
+	if !(c.PrefillOverwrite >= 0 && !math.IsInf(c.PrefillOverwrite, 1)) {
+		return fmt.Errorf("gcsteering: PrefillOverwrite %v must be finite and non-negative", c.PrefillOverwrite)
 	}
 	if c.Scheme == SchemeSteering && c.Staging == StagingReserved && c.ReservedFrac == 0 {
 		return fmt.Errorf("gcsteering: reserved staging needs ReservedFrac > 0")

@@ -223,6 +223,10 @@ type Config struct {
 	// router's placement/redirect/shed events first, then each shard's
 	// engine events in array order.
 	Trace io.Writer
+	// Warmup, when non-nil, is the warm-up memo every shard system is built
+	// through (see gcsteering.Warmup); shards and cells sharing it warm each
+	// distinct member image once. Results are identical either way.
+	Warmup *gcsteering.Warmup
 }
 
 func (c Config) vnodes() int {
@@ -633,7 +637,7 @@ func (c Config) runShard(idx int, tr trace.Trace, plan gcsteering.FaultPlan, buf
 		cfg.Trace = gcsteering.NewTracer(bufs[idx])
 	}
 	cfg.Fault = plan
-	sys, err := gcsteering.New(cfg)
+	sys, err := c.Warmup.New(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -89,6 +89,26 @@ func NewFTL(g Geometry) (*FTL, error) {
 	return f, nil
 }
 
+// Clone returns a deep copy of the FTL: the mappings, the block states, each
+// channel's free stack in its order, both streams' active blocks, the
+// round-robin cursor and the counters. The copy and the receiver share no
+// memory, so writes and collections on one never show in the other, and the
+// copy makes exactly the allocation decisions the receiver would.
+func (f *FTL) Clone() *FTL {
+	c := *f
+	c.l2p = append([]int32(nil), f.l2p...)
+	c.p2l = append([]int32(nil), f.p2l...)
+	c.blocks = append([]blockMeta(nil), f.blocks...)
+	c.freeByChan = make([][]int, len(f.freeByChan))
+	for ch, stack := range f.freeByChan {
+		c.freeByChan[ch] = append([]int(nil), stack...)
+	}
+	for st := range f.activeBlock {
+		c.activeBlock[st] = append([]int(nil), f.activeBlock[st]...)
+	}
+	return &c
+}
+
 // Geometry returns the device geometry.
 func (f *FTL) Geometry() Geometry { return f.geom }
 

@@ -2,6 +2,7 @@ package flash
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -323,4 +324,80 @@ func BenchmarkFTLRandomOverwriteWithGC(b *testing.B) {
 		}
 	}
 	b.ReportMetric(f.WriteAmplification(), "write-amp")
+}
+
+// ftlView is what a caller can observe of an FTL: every translation and
+// the counters.
+type ftlView struct {
+	lookups []int
+	free    int
+	erases  int64
+	wa      float64
+}
+
+func viewOf(f *FTL) ftlView {
+	v := ftlView{free: f.FreeBlocks(), erases: f.Erases(), wa: f.WriteAmplification()}
+	for lpn := 0; lpn < f.Geometry().LogicalPages(); lpn++ {
+		v.lookups = append(v.lookups, f.Lookup(lpn))
+	}
+	return v
+}
+
+// churn randomly overwrites f with GC, from a stream seeded by seed.
+func churn(f *FTL, seed int64, writes int) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < writes; i++ {
+		f.Write(rng.Intn(f.Geometry().LogicalPages()))
+		if f.NeedGC(2) {
+			f.CollectUntil(6, 0)
+		}
+	}
+}
+
+// TestCloneIsDeep checks that a clone of a warmed, collected FTL is an
+// exact and independent copy: equal on every observable, making the same
+// placement and GC decisions as its source under the same writes, and
+// sharing no state with it in either direction.
+func TestCloneIsDeep(t *testing.T) {
+	src := mustFTL(t, testGeom())
+	fillSequential(src)
+	churn(src, 1, 5000)
+	if src.Erases() == 0 {
+		t.Fatal("warm-up never collected; test is vacuous")
+	}
+	c := src.Clone()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	warmed := viewOf(src)
+	if !reflect.DeepEqual(viewOf(c), warmed) {
+		t.Fatal("clone differs from its source")
+	}
+
+	churn(c, 2, 3000)
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("clone after churn: %v", err)
+	}
+	if reflect.DeepEqual(viewOf(c), warmed) {
+		t.Fatal("churn left the clone unchanged; test is vacuous")
+	}
+	if !reflect.DeepEqual(viewOf(src), warmed) {
+		t.Fatal("writes and GC on the clone changed the source")
+	}
+
+	// The same writes on the source must land exactly where they landed on
+	// the clone: free stacks, active blocks and the cursor were copied.
+	churn(src, 2, 3000)
+	if err := src.CheckInvariants(); err != nil {
+		t.Fatalf("source after churn: %v", err)
+	}
+	churned := viewOf(c)
+	if !reflect.DeepEqual(viewOf(src), churned) {
+		t.Fatal("source and clone diverged under identical writes")
+	}
+
+	churn(src, 3, 3000)
+	if !reflect.DeepEqual(viewOf(c), churned) {
+		t.Fatal("writes and GC on the source changed the clone")
+	}
 }

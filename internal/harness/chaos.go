@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"gcsteering"
 	"gcsteering/internal/cluster"
 )
 
@@ -112,9 +113,12 @@ func Chaos(o Options) (*Grid, error) {
 	g := newGrid(fmt.Sprintf("Failure domains: %d arrays × %d tenants, whole-array crashes and chaos, unreplicated vs synchronously replicated writes",
 		chaosArrays, chaosTenants), workloads, variants)
 
+	memo := new(gcsteering.Warmup)
 	for _, sc := range scenarios {
 		for vi, repl := range []bool{false, true} {
-			r, err := cluster.Run(chaosConfig(o, sc, repl))
+			cc := chaosConfig(o, sc, repl)
+			cc.Warmup = memo
+			r, err := cluster.Run(cc)
 			if err != nil {
 				return nil, fmt.Errorf("chaos %s/%s: %w", sc.name, variants[vi], err)
 			}

@@ -114,9 +114,12 @@ func Cluster(o Options) (*Grid, error) {
 	g := newGrid(fmt.Sprintf("Fleet simulation: %d arrays × %d tenants, consistent-hash placement, hash-only vs GC/rebuild-aware routing",
 		clusterArrays, clusterTenants), workloads, variants)
 
+	memo := new(gcsteering.Warmup)
 	for _, sc := range scenarios {
 		for _, p := range policies {
-			r, err := cluster.Run(clusterConfig(o, sc, p))
+			cc := clusterConfig(o, sc, p)
+			cc.Warmup = memo
+			r, err := cluster.Run(cc)
 			if err != nil {
 				return nil, fmt.Errorf("cluster %s/%s: %w", sc.name, p, err)
 			}

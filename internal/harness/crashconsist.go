@@ -52,6 +52,7 @@ func CrashConsist(o Options) (*Grid, error) {
 	g := newGrid("Crash consistency: power loss mid-write, intent journal vs full-scrub remount",
 		workloads, variants)
 
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, sc := range scenarios {
 		for _, journal := range []bool{true, false} {
@@ -69,7 +70,7 @@ func CrashConsist(o Options) (*Grid, error) {
 			jobs = append(jobs, cellJob{
 				cell: Cell{sc.name, variant},
 				run: func() (any, error) {
-					sys, err := gcsteering.New(cfg)
+					sys, err := memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -95,7 +96,7 @@ func CrashConsist(o Options) (*Grid, error) {
 							RebuildTarget: gcsteering.RebuildToSpare,
 						}
 					}
-					sys, err = gcsteering.New(cfg)
+					sys, err = memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}

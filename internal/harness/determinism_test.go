@@ -11,11 +11,20 @@ import (
 	"gcsteering/internal/cluster"
 )
 
+// shardRuns are the fleet determinism cases: shard worker counts, each
+// without and with a warm-up memo shared by the cell's shards (fresh per
+// run, so the shards race to warm it).
+var shardRuns = []struct {
+	workers int
+	memo    bool
+}{{1, false}, {2, false}, {8, false}, {1, true}, {2, true}, {8, true}}
+
 // TestClusterDeterministicAcrossShardWorkers pins the fleet layer's
 // determinism contract: shards replay on a bounded worker pool, but the
-// pool size is pure parallelism — the same seed and configuration must
-// produce byte-identical aggregated ClusterResults AND byte-identical
-// merged traces with 1, 2, or 8 shard workers.
+// pool size is pure parallelism, and the warm-up memo is pure caching —
+// the same seed and configuration must produce byte-identical aggregated
+// ClusterResults AND byte-identical merged traces with 1, 2, or 8 shard
+// workers, with or without the memo.
 func TestClusterDeterministicAcrossShardWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation")
@@ -23,9 +32,12 @@ func TestClusterDeterministicAcrossShardWorkers(t *testing.T) {
 	o := tinyOptions()
 	o.MaxRequests = 1600
 	sc := clusterScenarios()[2] // rebuild: exercises fault shards + steering
-	run := func(workers int) (*cluster.ClusterResults, []byte) {
+	run := func(workers int, memo bool) (*cluster.ClusterResults, []byte) {
 		c := clusterConfig(o, sc, cluster.PolicySteering)
 		c.Workers = workers
+		if memo {
+			c.Warmup = new(gcsteering.Warmup)
+		}
 		var buf bytes.Buffer
 		c.Trace = &buf
 		r, err := cluster.Run(c)
@@ -34,22 +46,22 @@ func TestClusterDeterministicAcrossShardWorkers(t *testing.T) {
 		}
 		return r, buf.Bytes()
 	}
-	baseRes, baseTrace := run(1)
+	baseRes, baseTrace := run(1, false)
 	if len(baseTrace) == 0 {
 		t.Fatal("no trace emitted")
 	}
 	if !strings.HasPrefix(string(baseTrace), `{"t":`) {
 		t.Fatalf("merged trace does not start with a JSON line: %.80s", baseTrace)
 	}
-	for _, workers := range []int{2, 8} {
-		res, tr := run(workers)
+	for _, sr := range shardRuns[1:] {
+		res, tr := run(sr.workers, sr.memo)
 		if !reflect.DeepEqual(baseRes, res) {
-			t.Errorf("ClusterResults differ between 1 and %d workers:\n1: %s\n%d: %s",
-				workers, baseRes, workers, res)
+			t.Errorf("ClusterResults differ between 1 worker and %+v:\n1: %s\n%+v: %s",
+				sr, baseRes, sr, res)
 		}
 		if !bytes.Equal(baseTrace, tr) {
-			t.Errorf("merged traces differ between 1 and %d workers (%d vs %d bytes)",
-				workers, len(baseTrace), len(tr))
+			t.Errorf("merged traces differ between 1 worker and %+v (%d vs %d bytes)",
+				sr, len(baseTrace), len(tr))
 		}
 	}
 }
@@ -59,7 +71,7 @@ func TestClusterDeterministicAcrossShardWorkers(t *testing.T) {
 // plan (crash + link slowdown + GC storm), failover, and re-replication
 // all live in the offline router, so the shard worker count must still be
 // pure parallelism — byte-identical results and traces at 1, 2, and 8
-// workers.
+// workers, with or without the warm-up memo.
 func TestChaosDeterministicAcrossShardWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation")
@@ -67,9 +79,12 @@ func TestChaosDeterministicAcrossShardWorkers(t *testing.T) {
 	o := tinyOptions()
 	o.MaxRequests = 1600
 	sc := chaosScenarios()[2] // chaos-storm: crash + link slowdown + GC storm
-	run := func(workers int) (*cluster.ClusterResults, []byte) {
+	run := func(workers int, memo bool) (*cluster.ClusterResults, []byte) {
 		c := chaosConfig(o, sc, true)
 		c.Workers = workers
+		if memo {
+			c.Warmup = new(gcsteering.Warmup)
+		}
 		var buf bytes.Buffer
 		c.Trace = &buf
 		r, err := cluster.Run(c)
@@ -78,22 +93,22 @@ func TestChaosDeterministicAcrossShardWorkers(t *testing.T) {
 		}
 		return r, buf.Bytes()
 	}
-	baseRes, baseTrace := run(1)
+	baseRes, baseTrace := run(1, false)
 	if len(baseTrace) == 0 {
 		t.Fatal("no trace emitted")
 	}
 	if len(baseRes.Failures) == 0 {
 		t.Fatal("chaos scenario compiled no crash")
 	}
-	for _, workers := range []int{2, 8} {
-		res, tr := run(workers)
+	for _, sr := range shardRuns[1:] {
+		res, tr := run(sr.workers, sr.memo)
 		if !reflect.DeepEqual(baseRes, res) {
-			t.Errorf("chaos ClusterResults differ between 1 and %d workers:\n1: %s\n%d: %s",
-				workers, baseRes, workers, res)
+			t.Errorf("chaos ClusterResults differ between 1 worker and %+v:\n1: %s\n%+v: %s",
+				sr, baseRes, sr, res)
 		}
 		if !bytes.Equal(baseTrace, tr) {
-			t.Errorf("chaos traces differ between 1 and %d workers (%d vs %d bytes)",
-				workers, len(baseTrace), len(tr))
+			t.Errorf("chaos traces differ between 1 worker and %+v (%d vs %d bytes)",
+				sr, len(baseTrace), len(tr))
 		}
 	}
 }

@@ -31,11 +31,12 @@ func fig8Workloads() []string {
 	return []string{"HPC_W", "HPC_R", "Fin1", "hm_0", "prxy_0"}
 }
 
-// replayCell builds a system (with the given extra seed shift),
-// synthesizes the workload sized to its capacity, and replays it.
-func replayCell(cfg gcsteering.Config, wl string, maxReq int, seedShift int64) (*gcsteering.Results, error) {
+// replayCell builds a system through the grid's warm-up memo (with the
+// given extra seed shift), synthesizes the workload sized to its capacity,
+// and replays it.
+func replayCell(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string, maxReq int, seedShift int64) (*gcsteering.Results, error) {
 	cfg.Seed += seedShift
-	sys, err := gcsteering.New(cfg)
+	sys, err := memo.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -111,6 +112,7 @@ func Fig2(o Options) (string, error) {
 func Fig7(o Options) (*Grid, error) {
 	g := newGrid("Figure 7: LGC vs GGC vs GC-Steering (RAID5, 5 SSDs, 64KB unit)",
 		allWorkloads(), variantNames())
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, v := range schemeVariants {
@@ -118,7 +120,9 @@ func Fig7(o Options) (*Grid, error) {
 			cfg := o.base()
 			v.set(&cfg)
 			jobs = append(jobs, replayJob(Cell{w, v.name}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
+				func(shift int64) (*gcsteering.Results, error) {
+					return replayCell(memo, cfg, w, o.maxRequests(), shift)
+				},
 				func(c Cell, r *AvgResults) {
 					g.Mean[c] = r.MeanNs / 1e3
 					g.addAux("GC count (episodes)", c, r.GCEpisodes)
@@ -150,6 +154,7 @@ func variantNames() []string {
 func Fig8(o Options) (*Grid, error) {
 	g := newGrid("Figure 8: impact of the number of SSDs (GC-Steering)",
 		fig8Workloads(), []string{"5 SSDs", "7 SSDs"})
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, disks := range []int{5, 7} {
@@ -163,7 +168,7 @@ func Fig8(o Options) (*Grid, error) {
 					cfg.Seed += shift
 					small := cfg
 					small.Disks = 5
-					ref, err := gcsteering.New(small)
+					ref, err := memo.New(small)
 					if err != nil {
 						return nil, err
 					}
@@ -171,7 +176,7 @@ func Fig8(o Options) (*Grid, error) {
 					if err != nil {
 						return nil, err
 					}
-					sys, err := gcsteering.New(cfg)
+					sys, err := memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -195,6 +200,7 @@ func Fig9(o Options) (*Grid, error) {
 		variants[i] = fmt.Sprintf("%dKB", s)
 	}
 	g := newGrid("Figure 9: impact of the stripe unit size (GC-Steering)", fig8Workloads(), variants)
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for i, size := range sizes {
@@ -203,7 +209,9 @@ func Fig9(o Options) (*Grid, error) {
 			cfg.Scheme = gcsteering.SchemeSteering
 			cfg.StripeUnitKB = size
 			jobs = append(jobs, replayJob(Cell{w, variant}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
+				func(shift int64) (*gcsteering.Results, error) {
+					return replayCell(memo, cfg, w, o.maxRequests(), shift)
+				},
 				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
 		}
 	}
@@ -218,6 +226,7 @@ func Fig9(o Options) (*Grid, error) {
 func Fig10(o Options) (*Grid, error) {
 	g := newGrid("Figure 10: impact of the staging space (GC-Steering)",
 		fig8Workloads(), []string{"Reserved", "Dedicated"})
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, staging := range []gcsteering.StagingKind{gcsteering.StagingReserved, gcsteering.StagingDedicated} {
@@ -226,7 +235,9 @@ func Fig10(o Options) (*Grid, error) {
 			cfg.Scheme = gcsteering.SchemeSteering
 			cfg.Staging = staging
 			jobs = append(jobs, replayJob(Cell{w, staging.String()}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
+				func(shift int64) (*gcsteering.Results, error) {
+					return replayCell(memo, cfg, w, o.maxRequests(), shift)
+				},
 				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
 		}
 	}
@@ -270,6 +281,7 @@ func Fig11(o Options) (*Grid, error) {
 
 	// Two runs per cell: normal and during-rebuild; the grid's primary
 	// metric is the during-rebuild mean; the ratio goes in Aux.
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, v := range variants {
@@ -284,7 +296,7 @@ func Fig11(o Options) (*Grid, error) {
 			jobs = append(jobs, cellJob{
 				cell: Cell{w, v.name},
 				run: func() (any, error) {
-					normalSys, err := gcsteering.New(cfg)
+					normalSys, err := memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -310,7 +322,7 @@ func Fig11(o Options) (*Grid, error) {
 						RebuildMBps:   bw,
 						RebuildTarget: v.target,
 					}
-					rebSys, err := gcsteering.New(cfg)
+					rebSys, err := memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -373,6 +385,7 @@ func rebuildBandwidthMBps(capacityBytes int64, disks int, tr gcsteering.Trace) (
 func RAID6(o Options) (*Grid, error) {
 	g := newGrid("Extension: LGC vs GGC vs GC-Steering on RAID6 (6 SSDs, 64KB unit)",
 		[]string{"HPC_W", "Fin1", "prxy_0"}, variantNames())
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, v := range schemeVariants {
@@ -382,7 +395,9 @@ func RAID6(o Options) (*Grid, error) {
 			cfg.Disks = 6
 			v.set(&cfg)
 			jobs = append(jobs, replayJob(Cell{w, v.name}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) { return replayCell(cfg, w, o.maxRequests(), shift) },
+				func(shift int64) (*gcsteering.Results, error) {
+					return replayCell(memo, cfg, w, o.maxRequests(), shift)
+				},
 				func(c Cell, r *AvgResults) {
 					g.Mean[c] = r.MeanNs / 1e3
 					g.addAux("GC count (episodes)", c, r.GCEpisodes)
@@ -411,6 +426,7 @@ func Fig1(o Options) (string, error) {
 	var b strings.Builder
 	fmt.Fprintln(&b, "== Figure 1: GC-induced performance variability (HPC_W timeline) ==")
 	header := true
+	memo := new(gcsteering.Warmup)
 	for _, v := range schemeVariants {
 		cfg := o.base()
 		v.set(&cfg)
@@ -421,7 +437,7 @@ func Fig1(o Options) (string, error) {
 		if cfg.Trace.Enabled() {
 			cfg.Trace.RunStart(0, "fig1/"+v.name)
 		}
-		res, err := replayCell(cfg, "HPC_W", o.maxRequests(), 0)
+		res, err := replayCell(memo, cfg, "HPC_W", o.maxRequests(), 0)
 		if err != nil {
 			return "", err
 		}
@@ -448,10 +464,11 @@ func Endurance(o Options) (string, error) {
 	fmt.Fprintln(&b, "== Endurance: erase activity per scheme (prxy_0, write-heavy) ==")
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "scheme\terases\tmax block erases\tmean block erases\twrite amp")
+	memo := new(gcsteering.Warmup)
 	for _, v := range schemeVariants {
 		cfg := o.base()
 		v.set(&cfg)
-		res, err := replayCell(cfg, "prxy_0", o.maxRequests(), 0)
+		res, err := replayCell(memo, cfg, "prxy_0", o.maxRequests(), 0)
 		if err != nil {
 			return "", err
 		}

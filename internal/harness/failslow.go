@@ -42,6 +42,7 @@ func FailSlow(o Options) (*Grid, error) {
 	g := newGrid("Fail-slow tolerance: one member +8 ms/op from 5% to 90% of the trace, transient read errors with bounded retries, health-quarantine and hedged reads",
 		workloads, names)
 
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, v := range variants {
@@ -53,7 +54,7 @@ func FailSlow(o Options) (*Grid, error) {
 			jobs = append(jobs, cellJob{
 				cell: Cell{w, v.name},
 				run: func() (any, error) {
-					sys, err := gcsteering.New(cfg)
+					sys, err := memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -83,7 +84,7 @@ func FailSlow(o Options) (*Grid, error) {
 					// The slowdown window needs the trace duration; rebuild
 					// the system with the plan set. The trace is reused —
 					// the plan does not affect the array geometry.
-					sys, err = gcsteering.New(cfg)
+					sys, err = memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}

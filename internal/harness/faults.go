@@ -33,6 +33,7 @@ func Faults(o Options) (*Grid, error) {
 	g := newGrid("Reliability: failure at 10% of the trace, automatic rebuild, latent sector errors",
 		fig8Workloads(), names)
 
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, v := range variants {
@@ -46,7 +47,7 @@ func Faults(o Options) (*Grid, error) {
 			jobs = append(jobs, cellJob{
 				cell: Cell{w, v.name},
 				run: func() (any, error) {
-					sys, err := gcsteering.New(cfg)
+					sys, err := memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -76,7 +77,7 @@ func Faults(o Options) (*Grid, error) {
 					// (the plan does not affect geometry).
 					cfg := cfg
 					cfg.Fault = plan
-					sys, err = gcsteering.New(cfg)
+					sys, err = memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}

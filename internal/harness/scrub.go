@@ -40,6 +40,7 @@ func Scrub(o Options) (*Grid, error) {
 	g := newGrid("Self-healing: seeded latent/corrupt pages, failure at 50% of the trace, patrol scrub and GC-hedged reads",
 		workloads, names)
 
+	memo := new(gcsteering.Warmup)
 	var jobs []cellJob
 	for _, w := range g.Workloads {
 		for _, v := range variants {
@@ -53,7 +54,7 @@ func Scrub(o Options) (*Grid, error) {
 			jobs = append(jobs, cellJob{
 				cell: Cell{w, v.name},
 				run: func() (any, error) {
-					sys, err := gcsteering.New(cfg)
+					sys, err := memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -86,7 +87,7 @@ func Scrub(o Options) (*Grid, error) {
 						cfg.ScrubMBps = arrayBytes / 1e6 / (dur * 0.35)
 						cfg.ScrubPasses = 1
 					}
-					sys, err = gcsteering.New(cfg)
+					sys, err = memo.New(cfg)
 					if err != nil {
 						return nil, err
 					}

@@ -230,6 +230,21 @@ func New(id int, eng *sim.Engine, cfg Config) (*Device, error) {
 	}, nil
 }
 
+// Clone returns a device with the receiver's configuration and a deep copy
+// of its flash state, bound to engine eng under id: its channels are idle,
+// its statistics and GC window zeroed, and it carries no hooks, fault hook
+// or tracer. The receiver only lends its flash image — it may be a warm-up
+// template never attached to an engine — and is left untouched.
+func (d *Device) Clone(id int, eng *sim.Engine) *Device {
+	return &Device{
+		ID:   id,
+		cfg:  d.cfg,
+		eng:  eng,
+		ftl:  d.ftl.Clone(),
+		free: make([]sim.Time, len(d.free)),
+	}
+}
+
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 

@@ -111,8 +111,13 @@ type System struct {
 	onRequest func(seq int64, latNs int64, rejected bool)
 }
 
-// New builds and warms up a system.
-func New(cfg Config) (*System, error) {
+// New builds and warms up a system. Callers building many systems share
+// the warm-up through a Warmup instead.
+func New(cfg Config) (*System, error) { return (*Warmup)(nil).New(cfg) }
+
+// New builds and warms up a system, taking each member's warmed flash from
+// the memo (see Warmup). A nil memo warms every member in place.
+func (w *Warmup) New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -137,20 +142,19 @@ func New(cfg Config) (*System, error) {
 			s.rec.SetGauge("engine_pending", int64(now), float64(pending))
 		})
 	}
-	devCfg := cfg.deviceConfig()
 	//lint:allow nodeterm root stream: every per-device seed below derives from Config.Seed through it
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Disks; i++ {
-		d, err := ssd.New(i, s.eng, devCfg)
+		d, err := w.member(i, s.eng, cfg, rng.Int63())
 		if err != nil {
 			return nil, err
 		}
 		if cfg.ColdStreamStaging {
-			d.SetColdBoundary(cfg.diskPages()) // reserved region on a separate stream
+			// The reserved region goes on a separate stream. Declaring it after
+			// the warm-up changes nothing: the warm-up writes only below it.
+			d.SetColdBoundary(cfg.diskPages())
 		}
 		d.Trace = cfg.Trace
-		//lint:allow nodeterm per-device prefill stream seeded from the root stream, stable in loop order
-		d.Prefill(rand.New(rand.NewSource(rng.Int63())), cfg.PrefillOverwrite, cfg.diskPages())
 		s.devs = append(s.devs, d)
 		s.disks = append(s.disks, d)
 	}
@@ -177,7 +181,7 @@ func New(cfg Config) (*System, error) {
 		s.ggc = &sched.GGC{}
 		s.ggc.Attach(s.hub)
 	case SchemeSteering:
-		staging, err := s.buildStaging(rng)
+		staging, err := s.buildStaging()
 		if err != nil {
 			return nil, err
 		}
@@ -283,14 +287,14 @@ func (s *System) rebuildReservePages() int {
 }
 
 // buildStaging assembles the configured staging space.
-func (s *System) buildStaging(rng *rand.Rand) (core.Staging, error) {
+func (s *System) buildStaging() (core.Staging, error) {
 	switch s.cfg.Staging {
 	case StagingReserved:
 		reserved := s.cfg.Flash.LogicalPages() - s.cfg.diskPages()
 		reserved -= s.rebuildReservePages()
 		return core.NewReservedStaging(s.disks, s.cfg.diskPages(), reserved, s.cfg.StagingReadFrac)
 	case StagingDedicated:
-		spare, err := s.newSpare(rng.Int63())
+		spare, err := s.newSpare()
 		if err != nil {
 			return nil, err
 		}
@@ -301,7 +305,7 @@ func (s *System) buildStaging(rng *rand.Rand) (core.Staging, error) {
 }
 
 // newSpare creates the dedicated staging SSD.
-func (s *System) newSpare(seed int64) (*ssd.Device, error) {
+func (s *System) newSpare() (*ssd.Device, error) {
 	spare, err := ssd.New(s.cfg.Disks, s.eng, s.cfg.deviceConfig())
 	if err != nil {
 		return nil, err
@@ -310,8 +314,6 @@ func (s *System) newSpare(seed int64) (*ssd.Device, error) {
 	// staging space or a rebuild target.
 	spare.SetColdBoundary(0)
 	spare.Trace = s.trace
-	//lint:allow nodeterm spare prefill stream: seed is threaded in from the Config.Seed-derived root stream
-	spare.Prefill(rand.New(rand.NewSource(seed)), 0, 0)
 	s.spare = spare
 	return spare, nil
 }

@@ -70,6 +70,20 @@ func TestConfigValidation(t *testing.T) {
 			c.Fault.Slowdowns = []DiskSlowdown{{Disk: 0, Channel: -1, DurationMs: 1, ExtraPerOpUs: 1e16}}
 		}},
 		{"NaN DeadlineUs", func(c *Config) { c.DeadlineUs = math.NaN() }},
+		// Both NaN fractions used to pass and then panic inside New.
+		{"NaN ReservedFrac with cold-stream staging", func(c *Config) {
+			c.ReservedFrac = math.NaN()
+			c.ColdStreamStaging = true
+		}},
+		{"NaN StagingReadFrac", func(c *Config) { c.StagingReadFrac = math.NaN() }},
+		{"StagingReadFrac above 1", func(c *Config) { c.StagingReadFrac = 1.5 }},
+		{"negative StagingReadFrac", func(c *Config) { c.StagingReadFrac = -0.1 }},
+		{"NaN HotFrac", func(c *Config) { c.HotFrac = math.NaN() }},
+		// These used to skip the warm-up silently.
+		{"NaN PrefillOverwrite", func(c *Config) { c.PrefillOverwrite = math.NaN() }},
+		{"+Inf PrefillOverwrite", func(c *Config) { c.PrefillOverwrite = math.Inf(1) }},
+		{"-Inf PrefillOverwrite", func(c *Config) { c.PrefillOverwrite = math.Inf(-1) }},
+		{"negative PrefillOverwrite", func(c *Config) { c.PrefillOverwrite = -0.5 }},
 	} {
 		bad := cfg
 		tc.set(&bad)
