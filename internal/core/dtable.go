@@ -15,7 +15,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // PageKey addresses one page on one member disk of the array.
@@ -24,13 +24,23 @@ type PageKey struct {
 	Page int32
 }
 
-// less orders keys by (disk, page), the canonical order for turning a
-// map-order D_Table visit into a deterministic slice.
-func (k PageKey) less(o PageKey) bool {
-	if k.Disk != o.Disk {
-		return k.Disk < o.Disk
+// bitmap is a fixed-size page set, one bit per page.
+type bitmap []uint64
+
+func newBitmap(pages int) bitmap { return make(bitmap, (pages+63)/64) }
+
+func (b bitmap) has(p int32) bool { return b[p>>6]&(1<<(uint(p)&63)) != 0 }
+func (b bitmap) set(p int32)      { b[p>>6] |= 1 << (uint(p) & 63) }
+func (b bitmap) unset(p int32)    { b[p>>6] &^= 1 << (uint(p) & 63) }
+
+// first returns the lowest set page; ok is false when b is empty.
+func (b bitmap) first() (p int32, ok bool) {
+	for i, w := range b {
+		if w != 0 {
+			return int32(i*64 + bits.TrailingZeros64(w)), true
+		}
 	}
-	return k.Page < o.Page
+	return 0, false
 }
 
 // StageLoc is the staging-space location of one redirected page. Mirrored
@@ -64,54 +74,96 @@ type Entry struct {
 // DTable is the redirect log of GC-Steering (the paper's D_Table): a map
 // from home location to staging location. The paper stores it in
 // battery-backed NVRAM; Snapshot/Restore model the persistence path.
+//
+// The map is the entry store; per-disk page bitmaps index it. The
+// redirector looks up every page of every data sub-op and most lookups
+// miss, so Get answers a miss from one bit. The reclaimer's next-run search
+// scans the write bits instead of walking the map, and ForEach visits
+// entries in (disk, page) order, so every visit is deterministic.
 type DTable struct {
-	m map[PageKey]Entry
+	m     map[PageKey]Entry
+	has   []bitmap // per disk: pages with an entry
+	wr    []bitmap // per disk: pages with a Write entry
+	pages int      // home pages per disk
 
 	writeEntries int // entries with Write=true
 }
 
-// NewDTable returns an empty table.
-func NewDTable() *DTable {
-	return &DTable{m: make(map[PageKey]Entry)}
+// NewDTable returns an empty table for home pages [0, pages) on disks
+// [0, disks).
+func NewDTable(disks, pages int) *DTable {
+	t := &DTable{m: make(map[PageKey]Entry), pages: pages}
+	for d := 0; d < disks; d++ {
+		t.has = append(t.has, newBitmap(pages))
+		t.wr = append(t.wr, newBitmap(pages))
+	}
+	return t
+}
+
+// holds reports whether k lies inside the table's disks and pages.
+func (t *DTable) holds(k PageKey) bool {
+	return k.Disk >= 0 && int(k.Disk) < len(t.has) && k.Page >= 0 && int(k.Page) < t.pages
 }
 
 // Get returns the entry for k.
 func (t *DTable) Get(k PageKey) (Entry, bool) {
-	e, ok := t.m[k]
-	return e, ok
+	if !t.has[k.Disk].has(k.Page) {
+		return Entry{}, false
+	}
+	return t.m[k], true
 }
 
-// Put inserts or replaces the entry for k, bumping the generation.
+// Put inserts or replaces the entry for k, bumping the generation. Keys
+// come from the array's validated layout, so a key outside the table is an
+// internal invariant violation and panics.
 func (t *DTable) Put(k PageKey, loc StageLoc, write bool) Entry {
-	old, existed := t.m[k]
+	if !t.holds(k) {
+		panic(fmt.Sprintf("core: D_Table key (%d,%d) outside %d disks x %d pages",
+			k.Disk, k.Page, len(t.has), t.pages))
+	}
+	old, existed := t.Get(k)
 	e := Entry{Loc: loc, Write: write, Gen: old.Gen + 1}
 	t.m[k] = e
+	t.has[k.Disk].set(k.Page)
 	if existed && old.Write {
 		t.writeEntries--
 	}
 	if write {
 		t.writeEntries++
+		t.wr[k.Disk].set(k.Page)
+	} else {
+		t.wr[k.Disk].unset(k.Page)
 	}
 	return e
 }
 
 // Delete removes the entry for k. Deleting an absent key is a no-op.
 func (t *DTable) Delete(k PageKey) {
-	if old, ok := t.m[k]; ok {
+	if old, ok := t.Get(k); ok {
 		if old.Write {
 			t.writeEntries--
 		}
 		delete(t.m, k)
+		t.has[k.Disk].unset(k.Page)
+		t.wr[k.Disk].unset(k.Page)
 	}
 }
 
 // Len returns the number of live entries.
 func (t *DTable) Len() int { return len(t.m) }
 
-// ForEach visits every entry (iteration order is unspecified).
+// ForEach visits every entry in (disk, page) order. fn may replace or
+// delete the entry it visits; an entry deleted before its visit is skipped.
 func (t *DTable) ForEach(fn func(PageKey, Entry)) {
-	for k, e := range t.m {
-		fn(k, e)
+	for d, b := range t.has {
+		for i := range b {
+			for w := b[i]; w != 0; w &= w - 1 {
+				k := PageKey{Disk: int32(d), Page: int32(i*64 + bits.TrailingZeros64(w))}
+				if b.has(k.Page) {
+					fn(k, t.m[k])
+				}
+			}
+		}
 	}
 }
 
@@ -128,59 +180,20 @@ type Run struct {
 	Pages int32
 }
 
-// WriteRunsFor returns the write entries homed on disk, merged into
-// contiguous runs sorted by page. With merge=false every page is its own
-// run (the ablation configuration).
-func (t *DTable) WriteRunsFor(disk int32, merge bool) []Run {
-	var pages []int32
-	for k, e := range t.m {
-		if k.Disk == disk && e.Write {
-			pages = append(pages, k.Page)
-		}
-	}
-	if len(pages) == 0 {
-		return nil
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	var runs []Run
-	for _, p := range pages {
-		if merge {
-			if n := len(runs); n > 0 && runs[n-1].Page+runs[n-1].Pages == p {
-				runs[n-1].Pages++
-				continue
-			}
-		}
-		runs = append(runs, Run{Disk: disk, Page: p, Pages: 1})
-	}
-	return runs
-}
-
-// FirstWriteRunFor returns the lowest-page run that WriteRunsFor would
-// report for disk, without materializing or sorting the full run list —
-// the reclaimer drains one run per step, so building every run each time
-// is wasted work (and a per-step allocation). ok is false when the disk
-// has no write entries.
+// FirstWriteRunFor returns the lowest-page run of write entries homed on
+// disk: the run starting at the lowest write page, extended over the
+// following contiguous write pages when merge is set (with merge=false
+// every page is its own run, the ablation configuration). The reclaimer
+// drains one run per step. ok is false when the disk has no write entries.
 func (t *DTable) FirstWriteRunFor(disk int32, merge bool) (Run, bool) {
-	var min int32
-	found := false
-	for k, e := range t.m {
-		if k.Disk != disk || !e.Write {
-			continue
-		}
-		if !found || k.Page < min {
-			min, found = k.Page, true
-		}
-	}
-	if !found {
+	wr := t.wr[disk]
+	p, ok := wr.first()
+	if !ok {
 		return Run{}, false
 	}
-	run := Run{Disk: disk, Page: min, Pages: 1}
+	run := Run{Disk: disk, Page: p, Pages: 1}
 	if merge {
-		for {
-			e, ok := t.m[PageKey{Disk: disk, Page: run.Page + run.Pages}]
-			if !ok || !e.Write {
-				break
-			}
+		for next := p + 1; int(next) < t.pages && wr.has(next); next++ {
 			run.Pages++
 		}
 	}
@@ -193,18 +206,12 @@ type snapshotRecord struct {
 	Entry Entry
 }
 
-// Snapshot serializes the table, modelling the paper's NVRAM persistence
-// of D_Table across power failure.
+// Snapshot serializes the table in (disk, page) order, modelling the
+// paper's NVRAM persistence of D_Table across power failure.
 func (t *DTable) Snapshot() ([]byte, error) {
 	recs := make([]snapshotRecord, 0, len(t.m))
-	for k, e := range t.m {
+	t.ForEach(func(k PageKey, e Entry) {
 		recs = append(recs, snapshotRecord{k, e})
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].Key.Disk != recs[j].Key.Disk {
-			return recs[i].Key.Disk < recs[j].Key.Disk
-		}
-		return recs[i].Key.Page < recs[j].Key.Page
 	})
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
@@ -213,18 +220,38 @@ func (t *DTable) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Restore replaces the table contents from a snapshot.
+// Restore replaces the table contents from a snapshot. A snapshot naming a
+// key outside the table (taken on a wider array) is rejected and leaves the
+// table unchanged.
 func (t *DTable) Restore(data []byte) error {
 	var recs []snapshotRecord
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recs); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
+	for _, r := range recs {
+		if !t.holds(r.Key) {
+			return fmt.Errorf("core: restore: key (%d,%d) outside %d disks x %d pages",
+				r.Key.Disk, r.Key.Page, len(t.has), t.pages)
+		}
+	}
 	t.m = make(map[PageKey]Entry, len(recs))
-	t.writeEntries = 0
+	for d := range t.has {
+		clear(t.has[d])
+		clear(t.wr[d])
+	}
 	for _, r := range recs {
 		t.m[r.Key] = r.Entry
+		t.has[r.Key.Disk].set(r.Key.Page)
 		if r.Entry.Write {
-			t.writeEntries++
+			t.wr[r.Key.Disk].set(r.Key.Page)
+		} else {
+			t.wr[r.Key.Disk].unset(r.Key.Page)
+		}
+	}
+	t.writeEntries = 0
+	for _, b := range t.wr {
+		for _, w := range b {
+			t.writeEntries += bits.OnesCount64(w)
 		}
 	}
 	return nil

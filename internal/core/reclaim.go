@@ -41,13 +41,15 @@ func (s *Steering) Draining() bool {
 	if s.failedHome < 0 {
 		return s.dt.WriteLen() > 0
 	}
-	pending := false
-	s.dt.ForEach(func(k PageKey, e Entry) {
-		if e.Write && int(k.Disk) != s.failedHome {
-			pending = true
+	for d := range s.devs {
+		if d == s.failedHome {
+			continue
 		}
-	})
-	return pending
+		if _, ok := s.dt.FirstWriteRunFor(int32(d), false); ok {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *Steering) drain(now sim.Time, disk int) {

@@ -74,7 +74,7 @@ func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatal("alloc failed")
 	}
-	dt := NewDTable()
+	dt := NewDTable(len(r.devs), r.lay.DiskPages)
 	dt.Put(PageKey{Disk: 0, Page: 1}, loc, true)
 	blob, err := dt.Snapshot()
 	if err != nil {
@@ -85,6 +85,31 @@ func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 	}
 	if err := r.st.RestoreDTable([]byte("garbage")); err == nil {
 		t.Fatal("garbage snapshot accepted")
+	}
+}
+
+// TestRestoreRejectsWiderArraySnapshot restores a snapshot taken on an
+// array with one more member and longer members: the restore must fail
+// with an error, not panic, and keep the current table.
+func TestRestoreRejectsWiderArraySnapshot(t *testing.T) {
+	r := newRig(t, "reserved", DefaultConfig())
+	for _, key := range []PageKey{
+		{Disk: int32(len(r.devs)), Page: 0},
+		{Disk: 0, Page: int32(r.lay.DiskPages)},
+	} {
+		wide := NewDTable(len(r.devs)+1, r.lay.DiskPages+r.lay.UnitPages)
+		wide.Put(key, StageLoc{Dev0: NoMirror, Dev1: NoMirror}, true)
+		blob, err := wide.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := r.st.DTable()
+		if err := r.st.RestoreDTable(blob); err == nil {
+			t.Fatalf("snapshot with key %+v restored onto a %d x %d array", key, len(r.devs), r.lay.DiskPages)
+		}
+		if r.st.DTable() != before {
+			t.Fatal("failed restore replaced the table")
+		}
 	}
 }
 

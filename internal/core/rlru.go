@@ -19,6 +19,7 @@ type RLRU struct {
 	tail    int32       // least recent, -1 when empty
 	n       int
 	pos     map[int32]int32 // page -> slab index
+	in      bitmap          // pages in pos; answers the common miss with one bit test
 }
 
 // rlruEntry is one tracked page with its recent-hit count and list links.
@@ -28,12 +29,13 @@ type rlruEntry struct {
 	prev, next int32 // slab indices, -1 terminates
 }
 
-// NewRLRU creates a list bounded to capacity pages (min 1).
-func NewRLRU(capacity int) *RLRU {
+// NewRLRU creates a list bounded to capacity pages (min 1) that tracks
+// pages [0, pages).
+func NewRLRU(capacity, pages int) *RLRU {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &RLRU{cap: capacity, head: -1, tail: -1, pos: make(map[int32]int32)}
+	return &RLRU{cap: capacity, head: -1, tail: -1, pos: make(map[int32]int32), in: newBitmap(pages)}
 }
 
 // unlink detaches slot i from the list without recycling it.
@@ -79,7 +81,8 @@ func (r *RLRU) alloc() int32 {
 // read recently before this access (0 = first sighting). The caller
 // decides the popularity threshold for migration.
 func (r *RLRU) Touch(page int32) int {
-	if i, ok := r.pos[page]; ok {
+	if r.in.has(page) {
+		i := r.pos[page]
 		if r.head != i {
 			r.unlink(i)
 			r.pushFront(i)
@@ -91,11 +94,13 @@ func (r *RLRU) Touch(page int32) int {
 	r.entries[i] = rlruEntry{page: page}
 	r.pushFront(i)
 	r.pos[page] = i
+	r.in.set(page)
 	r.n++
 	if r.n > r.cap {
 		oldest := r.tail
 		r.unlink(oldest)
 		delete(r.pos, r.entries[oldest].page)
+		r.in.unset(r.entries[oldest].page)
 		r.free = append(r.free, oldest)
 		r.n--
 	}
@@ -103,20 +108,20 @@ func (r *RLRU) Touch(page int32) int {
 }
 
 // Contains reports whether page is currently tracked, without promoting it.
-func (r *RLRU) Contains(page int32) bool {
-	_, ok := r.pos[page]
-	return ok
-}
+func (r *RLRU) Contains(page int32) bool { return r.in.has(page) }
 
 // Remove drops page from the list (used when a write invalidates the
 // hotness of a read page).
 func (r *RLRU) Remove(page int32) {
-	if i, ok := r.pos[page]; ok {
-		r.unlink(i)
-		delete(r.pos, page)
-		r.free = append(r.free, i)
-		r.n--
+	if !r.in.has(page) {
+		return
 	}
+	i := r.pos[page]
+	r.unlink(i)
+	delete(r.pos, page)
+	r.in.unset(page)
+	r.free = append(r.free, i)
+	r.n--
 }
 
 // Len returns the number of tracked pages.

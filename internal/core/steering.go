@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"gcsteering/internal/obs"
 	"gcsteering/internal/raid"
@@ -165,22 +164,23 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 		return nil, fmt.Errorf("core: HotFrac %v outside [0,1]", cfg.HotFrac)
 	}
 	devs := arr.Disks()
+	pages := arr.Layout().DiskPages
 	s := &Steering{
 		eng:        eng,
 		arr:        arr,
 		devs:       devs,
 		staging:    staging,
-		dt:         NewDTable(),
+		dt:         NewDTable(len(devs), pages),
 		cfg:        cfg,
 		failedHome: -1,
 		draining:   make([]bool, len(devs)),
 	}
-	hotCap := int(cfg.HotFrac * float64(arr.Layout().DiskPages))
+	hotCap := int(cfg.HotFrac * float64(pages))
 	if hotCap < 1 {
 		hotCap = 1
 	}
 	for range devs {
-		s.hot = append(s.hot, NewRLRU(hotCap))
+		s.hot = append(s.hot, NewRLRU(hotCap, pages))
 	}
 	if rs, ok := staging.(*ReservedStaging); ok {
 		rs.eng = eng // mirrored writes fan in on the engine
@@ -236,13 +236,10 @@ func (s *Steering) SetFailedHome(disk int) { s.failedHome = disk }
 // their surviving mirror (the failed copy is forgotten); single-copy write
 // entries on the failed member are dropped too, because the in-place parity
 // update at redirect time makes the data reconstructible from the array.
+//
+// ForEach visits in (disk, page) order, so the staging pool's free list
+// fills in a run-independent order.
 func (s *Steering) DropStagedOn(dev int32) {
-	type fix struct {
-		key PageKey
-		e   Entry
-	}
-	var drops []PageKey
-	var remaps []fix
 	s.dt.ForEach(func(k PageKey, e Entry) {
 		onDev0 := e.Loc.Dev0 == dev
 		onDev1 := e.Loc.Mirrored() && e.Loc.Dev1 == dev
@@ -250,7 +247,8 @@ func (s *Steering) DropStagedOn(dev int32) {
 			return
 		}
 		if !e.Write || (!e.Loc.Mirrored() && onDev0) {
-			drops = append(drops, k)
+			s.freeSurviving(e.Loc, dev)
+			s.dt.Delete(k)
 			return
 		}
 		// Mirrored write: keep the surviving copy as the only copy.
@@ -259,21 +257,8 @@ func (s *Steering) DropStagedOn(dev int32) {
 			loc.Dev0, loc.Page0 = loc.Dev1, loc.Page1
 		}
 		loc.Dev1 = NoMirror
-		remaps = append(remaps, fix{k, Entry{Loc: loc, Write: true}})
+		s.dt.Put(k, loc, true)
 	})
-	// ForEach visits the D_Table in map order; sort before applying so the
-	// staging pool's free list fills in a run-independent order.
-	sort.Slice(drops, func(i, j int) bool { return drops[i].less(drops[j]) })
-	sort.Slice(remaps, func(i, j int) bool { return remaps[i].key.less(remaps[j].key) })
-	for _, k := range drops {
-		if e, ok := s.dt.Get(k); ok {
-			s.freeSurviving(e.Loc, dev)
-			s.dt.Delete(k)
-		}
-	}
-	for _, f := range remaps {
-		s.dt.Put(f.key, f.e.Loc, true)
-	}
 }
 
 // freeSurviving returns to the pool only the copies of loc that are not on
@@ -294,10 +279,11 @@ func (s *Steering) SnapshotDTable() ([]byte, error) { return s.dt.Snapshot() }
 
 // RestoreDTable reloads a redirect log after a crash. Every restored
 // entry's staging slots are re-reserved so the allocator cannot hand them
-// out again; the restore fails (leaving an empty table) if any slot is
-// inconsistent with the staging space.
+// out again. The restore fails, keeping the current table, if the snapshot
+// names a home page outside this array or a slot inconsistent with the
+// staging space.
 func (s *Steering) RestoreDTable(data []byte) error {
-	dt := NewDTable()
+	dt := NewDTable(len(s.devs), s.arr.Layout().DiskPages)
 	if err := dt.Restore(data); err != nil {
 		return err
 	}

@@ -463,10 +463,10 @@ func (d *Device) ForceGC(now sim.Time) {
 // re-fired — under GGC a re-fire would launch a redundant global forced
 // round for what is physically the same episode.
 //
-// gcsvet: GC planning is episodic — its bookkeeping amortizes over the
-// whole episode and the plan arena is reused (PR 7), so it is a cold
-// boundary for hotalloc rather than part of the per-request budget. The
-// bench gate still measures its real cost.
+// gcsvet: GC planning is episodic — CollectUntil builds a fresh Plan each
+// episode, and growing its Victims and Moves amortizes over the whole
+// episode — so it is a cold boundary for hotalloc rather than part of the
+// per-request budget. The bench gate still measures its real cost.
 //
 //gcsvet:cold
 func (d *Device) startGC(now sim.Time, targetFree, minVictims int, forced bool) {
