@@ -53,6 +53,10 @@ type FTL struct {
 	hostWrites int64 // pages written by the host
 	gcWrites   int64 // pages copied by garbage collection
 	erases     int64 // blocks erased
+
+	// Per-channel op counts of the last GC episode: the scratch a Plan
+	// returned by CollectUntil points into.
+	gcReads, gcPrograms, gcErases []int
 }
 
 // NewFTL creates an FTL with all blocks free and no mappings.
@@ -67,6 +71,9 @@ func NewFTL(g Geometry) (*FTL, error) {
 		blocks:     make([]blockMeta, g.Blocks),
 		freeByChan: make([][]int, g.Channels),
 		coldStart:  g.LogicalPages(),
+		gcReads:    make([]int, g.Channels),
+		gcPrograms: make([]int, g.Channels),
+		gcErases:   make([]int, g.Channels),
 	}
 	for i := range f.l2p {
 		f.l2p[i] = unmapped
@@ -91,9 +98,10 @@ func NewFTL(g Geometry) (*FTL, error) {
 
 // Clone returns a deep copy of the FTL: the mappings, the block states, each
 // channel's free stack in its order, both streams' active blocks, the
-// round-robin cursor and the counters. The copy and the receiver share no
-// memory, so writes and collections on one never show in the other, and the
-// copy makes exactly the allocation decisions the receiver would.
+// round-robin cursor, the counters and the last GC plan's scratch. The copy
+// and the receiver share no memory, so writes and collections on one never
+// show in the other, and the copy makes exactly the allocation decisions
+// the receiver would.
 func (f *FTL) Clone() *FTL {
 	c := *f
 	c.l2p = append([]int32(nil), f.l2p...)
@@ -106,6 +114,9 @@ func (f *FTL) Clone() *FTL {
 	for st := range f.activeBlock {
 		c.activeBlock[st] = append([]int(nil), f.activeBlock[st]...)
 	}
+	c.gcReads = append([]int(nil), f.gcReads...)
+	c.gcPrograms = append([]int(nil), f.gcPrograms...)
+	c.gcErases = append([]int(nil), f.gcErases...)
 	return &c
 }
 

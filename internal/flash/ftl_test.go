@@ -222,10 +222,23 @@ func TestGCPreservesMappings(t *testing.T) {
 	}
 }
 
-func TestGCMovesReflectValidPages(t *testing.T) {
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// TestGCPlanCountsMatchCounters checks each episode's per-channel op
+// counts against the FTL's cumulative counters: every moved page is one
+// read and one program, every victim one erase, and no episode's counts
+// carry over into the next one's plan.
+func TestGCPlanCountsMatchCounters(t *testing.T) {
 	f := mustFTL(t, testGeom())
 	fillSequential(f)
 	rng := rand.New(rand.NewSource(3))
+	episodes := 0
 	for i := 0; i < 3000; i++ {
 		f.Write(rng.Intn(f.Geometry().LogicalPages()))
 		if !f.NeedGC(2) {
@@ -233,27 +246,27 @@ func TestGCMovesReflectValidPages(t *testing.T) {
 		}
 		beforeMoves, beforeErases := f.GCWrites(), f.Erases()
 		plan := f.CollectUntil(6, 0)
-		if int64(plan.PagesMoved) != f.GCWrites()-beforeMoves {
-			t.Fatalf("plan.PagesMoved=%d, gcWrites delta=%d",
-				plan.PagesMoved, f.GCWrites()-beforeMoves)
+		episodes++
+		moved := int(f.GCWrites() - beforeMoves)
+		erased := int(f.Erases() - beforeErases)
+		if plan.PagesMoved != moved {
+			t.Fatalf("episode %d: PagesMoved=%d, gcWrites delta=%d", episodes, plan.PagesMoved, moved)
 		}
-		if int64(plan.Erases) != f.Erases()-beforeErases {
-			t.Fatalf("plan.Erases=%d, erase delta=%d", plan.Erases, f.Erases()-beforeErases)
+		if r, p := sum(plan.ChannelReads), sum(plan.ChannelPrograms); r != moved || p != moved {
+			t.Fatalf("episode %d: %d reads and %d programs for %d moved pages", episodes, r, p, moved)
 		}
-		for _, v := range plan.Victims {
-			if f.Geometry().BlockChannel(v.Block) != v.Channel {
-				t.Fatalf("victim %d channel mismatch", v.Block)
-			}
-			// Note: an early victim may be reopened as a destination block by
-			// a later victim in the same episode, so validPages may be > 0
-			// again by the time the plan is returned; only the move sources
-			// are a stable property.
-			for _, m := range plan.VictimMoves(v) {
-				if f.Geometry().PageBlock(m.From) != v.Block {
-					t.Fatalf("move source %d not in victim block %d", m.From, v.Block)
-				}
-			}
+		if e := sum(plan.ChannelErases); e != erased || plan.Erases != erased || plan.Victims != erased {
+			t.Fatalf("episode %d: %d channel erases, Erases=%d, Victims=%d, erase delta=%d",
+				episodes, e, plan.Erases, plan.Victims, erased)
 		}
+	}
+	if episodes < 2 {
+		t.Fatalf("%d GC episodes; the reset across episodes is untested", episodes)
+	}
+	// An episode that finds nothing to collect still starts from zero.
+	plan := f.CollectUntil(0, 0)
+	if !plan.Empty() || sum(plan.ChannelReads)+sum(plan.ChannelPrograms)+sum(plan.ChannelErases) != 0 {
+		t.Fatalf("idle episode carried counts over: %+v", plan)
 	}
 }
 
@@ -343,29 +356,47 @@ func viewOf(f *FTL) ftlView {
 	return v
 }
 
-// churn randomly overwrites f with GC, from a stream seeded by seed.
-func churn(f *FTL, seed int64, writes int) {
+// churn randomly overwrites f with GC, from a stream seeded by seed, and
+// returns the plan of its last GC episode.
+func churn(f *FTL, seed int64, writes int) Plan {
 	rng := rand.New(rand.NewSource(seed))
+	var last Plan
 	for i := 0; i < writes; i++ {
 		f.Write(rng.Intn(f.Geometry().LogicalPages()))
 		if f.NeedGC(2) {
-			f.CollectUntil(6, 0)
+			last = f.CollectUntil(6, 0)
 		}
+	}
+	return last
+}
+
+// counts copies a plan's per-channel op counts out of the FTL's scratch.
+func counts(p Plan) [3][]int {
+	return [3][]int{
+		append([]int(nil), p.ChannelReads...),
+		append([]int(nil), p.ChannelPrograms...),
+		append([]int(nil), p.ChannelErases...),
 	}
 }
 
 // TestCloneIsDeep checks that a clone of a warmed, collected FTL is an
 // exact and independent copy: equal on every observable, making the same
 // placement and GC decisions as its source under the same writes, and
-// sharing no state with it in either direction.
+// sharing no state with it in either direction — the last GC plan's
+// per-channel counts included.
 func TestCloneIsDeep(t *testing.T) {
 	src := mustFTL(t, testGeom())
 	fillSequential(src)
-	churn(src, 1, 5000)
-	if src.Erases() == 0 {
+	srcPlan := churn(src, 1, 5000)
+	if src.Erases() == 0 || srcPlan.Empty() {
 		t.Fatal("warm-up never collected; test is vacuous")
 	}
+	srcCounts := counts(srcPlan)
 	c := src.Clone()
+	if &c.gcReads[0] == &src.gcReads[0] || &c.gcPrograms[0] == &src.gcPrograms[0] ||
+		&c.gcErases[0] == &src.gcErases[0] {
+		t.Fatal("clone shares its GC count scratch with the source")
+	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +405,16 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("clone differs from its source")
 	}
 
-	churn(c, 2, 3000)
+	clonePlan := churn(c, 2, 3000)
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatalf("clone after churn: %v", err)
+	}
+	cloneCounts := counts(clonePlan)
+	if reflect.DeepEqual(cloneCounts, srcCounts) {
+		t.Fatal("the clone's last episode matches the source's; test is vacuous")
+	}
+	if !reflect.DeepEqual(counts(srcPlan), srcCounts) {
+		t.Fatal("GC on the clone changed the source's last plan")
 	}
 	if reflect.DeepEqual(viewOf(c), warmed) {
 		t.Fatal("churn left the clone unchanged; test is vacuous")
@@ -396,8 +434,13 @@ func TestCloneIsDeep(t *testing.T) {
 		t.Fatal("source and clone diverged under identical writes")
 	}
 
-	churn(src, 3, 3000)
+	if last := churn(src, 3, 3000); reflect.DeepEqual(counts(last), cloneCounts) {
+		t.Fatal("the source's last episode matches the clone's; test is vacuous")
+	}
 	if !reflect.DeepEqual(viewOf(c), churned) {
 		t.Fatal("writes and GC on the source changed the clone")
+	}
+	if !reflect.DeepEqual(counts(clonePlan), cloneCounts) {
+		t.Fatal("GC on the source changed the clone's last plan")
 	}
 }

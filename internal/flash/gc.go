@@ -1,40 +1,27 @@
 package flash
 
-// Move records one valid-page copy performed by garbage collection: the
-// page is read from From and programmed at To. Channels for timing purposes
-// derive from the geometry (From and To may live on different channels when
-// the victim's own channel is out of room).
-type Move struct {
-	From, To int
-}
-
-// VictimPlan describes the collection of a single erase block: all valid
-// pages are moved out, then the block is erased. Its moves live in the
-// owning Plan's flat arena at [MoveStart, MoveEnd) — one shared slice per
-// episode instead of one allocation per victim.
-type VictimPlan struct {
-	Block              int
-	Channel            int
-	MoveStart, MoveEnd int // index range into Plan.Moves
-}
-
 // Plan is the outcome of one garbage-collection episode. The FTL state is
 // already updated when a Plan is returned; the plan exists so the timed
-// device model can charge the channel time the episode consumed.
+// device model can charge the channel time the episode consumed. The
+// device issues every op of an episode at the same instant, so a channel's
+// share depends only on how many GC reads, programs and erases landed on
+// it, and that is all the plan records.
+//
+// The per-channel slices are scratch owned by the FTL: the next
+// CollectUntil zeroes and refills them.
 type Plan struct {
-	Victims    []VictimPlan
-	Moves      []Move // flat arena; victims index into it via [MoveStart, MoveEnd)
+	Victims    int // blocks collected
 	PagesMoved int
 	Erases     int
-}
-
-// VictimMoves returns the moves belonging to victim v.
-func (p *Plan) VictimMoves(v VictimPlan) []Move {
-	return p.Moves[v.MoveStart:v.MoveEnd]
+	// ChannelReads, ChannelPrograms and ChannelErases count, per channel,
+	// the valid pages read out of victims, the relocation programs and the
+	// block erases. Reads and erases land on the victim's channel; a
+	// program lands where the relocation was allocated.
+	ChannelReads, ChannelPrograms, ChannelErases []int
 }
 
 // Empty reports whether the episode did no work.
-func (p Plan) Empty() bool { return len(p.Victims) == 0 }
+func (p Plan) Empty() bool { return p.Victims == 0 }
 
 // NeedGC reports whether free space has fallen to or below the low
 // watermark (in blocks).
@@ -45,23 +32,24 @@ func (f *FTL) NeedGC(lowWater int) bool { return f.freeBlocks <= lowWater }
 // and erases it, until the free-block count reaches targetFree and at least
 // minVictims blocks have been collected. Blocks whose pages are all valid
 // are never selected (collecting them frees nothing). The returned plan
-// lists every page move and erase so the caller can model their latency.
+// counts each channel's page reads, programs and erases so the caller can
+// model their latency; it is valid until the next CollectUntil.
 //
 // minVictims > 0 forces work even when free space is already above the
 // target; the GGC policy uses this to make every device collect when any
 // one device collects, reproducing the higher total GC counts the paper
 // reports for GGC (Fig. 7b).
 func (f *FTL) CollectUntil(targetFree, minVictims int) Plan {
-	var plan Plan
-	for f.freeBlocks < targetFree || len(plan.Victims) < minVictims {
+	clear(f.gcReads)
+	clear(f.gcPrograms)
+	clear(f.gcErases)
+	plan := Plan{ChannelReads: f.gcReads, ChannelPrograms: f.gcPrograms, ChannelErases: f.gcErases}
+	for f.freeBlocks < targetFree || plan.Victims < minVictims {
 		b := f.pickVictim()
 		if b < 0 {
 			break // nothing collectible
 		}
-		vp := f.collectBlock(b, &plan)
-		plan.Victims = append(plan.Victims, vp)
-		plan.PagesMoved += vp.MoveEnd - vp.MoveStart
-		plan.Erases++
+		f.collectBlock(b, &plan)
 	}
 	return plan
 }
@@ -85,11 +73,13 @@ func (f *FTL) pickVictim() int {
 }
 
 // collectBlock relocates every valid page of block b and erases it,
-// appending the moves to plan's flat arena. Destinations rotate across
-// channels just like host writes do, so the relocation programs proceed in
-// parallel instead of serializing behind the victim's own channel.
-func (f *FTL) collectBlock(b int, plan *Plan) VictimPlan {
-	vp := VictimPlan{Block: b, Channel: f.geom.BlockChannel(b), MoveStart: len(plan.Moves)}
+// counting the reads, programs and erase on plan's channels. Destinations
+// rotate across channels just like host writes do, so the relocation
+// programs proceed in parallel instead of serializing behind the victim's
+// own channel.
+func (f *FTL) collectBlock(b int, plan *Plan) {
+	ch := f.geom.BlockChannel(b)
+	moved := 0
 	base := b * f.geom.PagesPerBlock
 	for off := 0; off < f.geom.PagesPerBlock; off++ {
 		from := base + off
@@ -99,44 +89,45 @@ func (f *FTL) collectBlock(b int, plan *Plan) VictimPlan {
 		}
 		preferred := f.nextChan
 		f.nextChan = (f.nextChan + 1) % f.geom.Channels
-		to := f.allocateForGC(f.streamOf(int(lpn)), preferred, b)
+		to, toChan := f.allocateForGC(f.streamOf(int(lpn)), preferred, b)
 		// Relocate the mapping.
 		f.p2l[from] = unmapped
 		f.blocks[b].validPages--
 		f.l2p[lpn] = int32(to)
 		f.p2l[to] = lpn
 		f.blocks[f.geom.PageBlock(to)].validPages++
-		f.gcWrites++
-		plan.Moves = append(plan.Moves, Move{From: from, To: to})
+		plan.ChannelPrograms[toChan]++
+		moved++
 	}
-	vp.MoveEnd = len(plan.Moves)
+	f.gcWrites += int64(moved)
+	plan.ChannelReads[ch] += moved
+	plan.PagesMoved += moved
 	// Erase.
 	f.blocks[b].state = blockFree
 	f.blocks[b].writePtr = 0
 	f.blocks[b].eraseCount++
 	f.erases++
+	plan.ChannelErases[ch]++
+	plan.Erases++
+	plan.Victims++
 	for st := 0; st < 2; st++ {
-		if f.activeBlock[st][vp.Channel] == b {
-			f.activeBlock[st][vp.Channel] = -1
+		if f.activeBlock[st][ch] == b {
+			f.activeBlock[st][ch] = -1
 		}
 	}
-	f.freeByChan[vp.Channel] = append(f.freeByChan[vp.Channel], b)
+	f.freeByChan[ch] = append(f.freeByChan[ch], b)
 	f.freeBlocks++
-	return vp
 }
 
 // allocateForGC allocates a destination page for a GC move, preferring the
-// victim's own channel and spilling to other channels when it is full. The
-// victim block itself is excluded as a destination (it is about to be
-// erased).
-func (f *FTL) allocateForGC(stream, preferred, victim int) int {
-	if f.channelHasRoomExcluding(stream, preferred, victim) {
-		return f.allocateExcluding(stream, preferred, victim)
-	}
-	for i := 1; i < f.geom.Channels; i++ {
+// given channel and spilling to the next channels when it is full, and
+// returns the page and its channel. The victim block itself is excluded
+// as a destination (it is about to be erased).
+func (f *FTL) allocateForGC(stream, preferred, victim int) (ppn, channel int) {
+	for i := 0; i < f.geom.Channels; i++ {
 		c := (preferred + i) % f.geom.Channels
 		if f.channelHasRoomExcluding(stream, c, victim) {
-			return f.allocateExcluding(stream, c, victim)
+			return f.allocateExcluding(stream, c, victim), c
 		}
 	}
 	panic("flash: no room anywhere for GC relocation; over-provisioning too small")

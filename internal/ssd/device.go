@@ -166,7 +166,8 @@ type Device struct {
 	ftl  *flash.FTL
 	free []sim.Time // per-channel next-free instant
 
-	gcEndAt sim.Time // device is "in GC" while Now < gcEndAt
+	gcEndAt sim.Time       // device is "in GC" while Now < gcEndAt
+	gcEnd   func(sim.Time) // gcEnded, bound once
 	stats   Stats
 
 	// OnGCStart and OnGCEnd, when non-nil, are invoked as GC episodes begin
@@ -221,13 +222,15 @@ func New(id int, eng *sim.Engine, cfg Config) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Device{
+	d := &Device{
 		ID:   id,
 		cfg:  cfg,
 		eng:  eng,
 		ftl:  ftl,
 		free: make([]sim.Time, cfg.Geometry.Channels),
-	}, nil
+	}
+	d.gcEnd = d.gcEnded
+	return d, nil
 }
 
 // Clone returns a device with the receiver's configuration and a deep copy
@@ -236,13 +239,15 @@ func New(id int, eng *sim.Engine, cfg Config) (*Device, error) {
 // or tracer. The receiver only lends its flash image — it may be a warm-up
 // template never attached to an engine — and is left untouched.
 func (d *Device) Clone(id int, eng *sim.Engine) *Device {
-	return &Device{
+	c := &Device{
 		ID:   id,
 		cfg:  d.cfg,
 		eng:  eng,
 		ftl:  d.ftl.Clone(),
 		free: make([]sim.Time, len(d.free)),
 	}
+	c.gcEnd = c.gcEnded
+	return c
 }
 
 // Config returns the device configuration.
@@ -463,19 +468,16 @@ func (d *Device) ForceGC(now sim.Time) {
 // re-fired — under GGC a re-fire would launch a redundant global forced
 // round for what is physically the same episode.
 //
-// gcsvet: GC planning is episodic — CollectUntil builds a fresh Plan each
-// episode, and growing its Victims and Moves amortizes over the whole
-// episode — so it is a cold boundary for hotalloc rather than part of the
-// per-request budget. The bench gate still measures its real cost.
-//
-//gcsvet:cold
+// Every op of the episode is issued at now, so each channel's GC reads,
+// programs and erases queue back to back from max(now, free[c]): one
+// reservation of their summed service time leaves the channel, the busy
+// time and the episode end exactly where one reservation per op would.
 func (d *Device) startGC(now sim.Time, targetFree, minVictims int, forced bool) {
 	plan := d.ftl.CollectUntil(targetFree, minVictims)
 	if plan.Empty() {
 		return
 	}
 	extend := d.InGC(now)
-	lat := d.cfg.Latency
 	busyBefore := d.stats.BusyTime
 	endAll := now
 	if d.cfg.GCOverhead > 0 {
@@ -485,24 +487,16 @@ func (d *Device) startGC(now sim.Time, targetFree, minVictims int, forced bool) 
 			}
 		}
 	}
-	for _, v := range plan.Victims {
-		var victimEnd sim.Time
-		for _, m := range plan.VictimMoves(v) {
-			rEnd := d.occupy(now, d.cfg.Geometry.PageChannel(m.From), lat.PageRead+lat.BusTransfer)
-			wEnd := d.occupy(now, d.cfg.Geometry.PageChannel(m.To), lat.PageProgram+lat.BusTransfer)
-			if rEnd > victimEnd {
-				victimEnd = rEnd
-			}
-			if wEnd > victimEnd {
-				victimEnd = wEnd
-			}
+	lat := d.cfg.Latency
+	read, program := lat.PageRead+lat.BusTransfer, lat.PageProgram+lat.BusTransfer
+	for c, reads := range plan.ChannelReads {
+		programs, erases := plan.ChannelPrograms[c], plan.ChannelErases[c]
+		if reads == 0 && programs == 0 && erases == 0 {
+			continue
 		}
-		eEnd := d.occupy(now, v.Channel, lat.BlockErase)
-		if eEnd > victimEnd {
-			victimEnd = eEnd
-		}
-		if victimEnd > endAll {
-			endAll = victimEnd
+		dur := sim.Time(reads)*read + sim.Time(programs)*program + sim.Time(erases)*lat.BlockErase
+		if end := d.occupy(now, c, dur); end > endAll {
+			endAll = end
 		}
 	}
 	d.stats.GCBusyTime += d.stats.BusyTime - busyBefore
@@ -545,21 +539,23 @@ func (d *Device) startGC(now sim.Time, targetFree, minVictims int, forced bool) 
 		}
 	}
 	if advanced && (d.OnGCEnd != nil || d.Trace.Enabled()) {
-		end := endAll
-		d.eng.At(end, func(t sim.Time) {
-			// Extensions move gcEndAt forward after this event is scheduled;
-			// the guard suppresses the stale end notification so only the
-			// event matching the episode's final end time fires the hook.
-			if d.gcEndAt != end {
-				return
-			}
-			if d.Trace.Enabled() {
-				d.Trace.Emit(t, obs.Event{Kind: obs.KGCEnd, Dev: int32(d.ID), Page: -1})
-			}
-			if d.OnGCEnd != nil {
-				d.OnGCEnd(t, d)
-			}
-		})
+		d.eng.At(endAll, d.gcEnd)
+	}
+}
+
+// gcEnded runs at a scheduled episode end t. Extensions move gcEndAt
+// forward after the event is scheduled; the guard suppresses the stale end
+// notification so only the event at the episode's final end fires the
+// hook.
+func (d *Device) gcEnded(t sim.Time) {
+	if d.gcEndAt != t {
+		return
+	}
+	if d.Trace.Enabled() {
+		d.Trace.Emit(t, obs.Event{Kind: obs.KGCEnd, Dev: int32(d.ID), Page: -1})
+	}
+	if d.OnGCEnd != nil {
+		d.OnGCEnd(t, d)
 	}
 }
 
