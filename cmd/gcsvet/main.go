@@ -9,24 +9,13 @@
 //
 // Usage:
 //
-//	go run ./cmd/gcsvet [-analyzers name,name] [-list] [-fix] [-diff] [-sarif] [packages]
+//	go run ./cmd/gcsvet [-analyzers name,name] [-list] [packages]
 //
 // Packages default to ./... . Findings print as
 // `file:line:col: analyzer: message` and any finding makes the exit status
 // non-zero. Suppress a sanctioned site with a
 // `//lint:allow <analyzer> <reason>` comment on the line or the line above
 // (suppaudit flags the directive itself once it stops matching anything).
-//
-// -fix applies the mechanical rewrites attached to findings (maporder's
-// collect-then-sort, hotalloc's preallocation hint) through go/format and
-// reports what remains; the exit status is non-zero only if unfixable
-// findings remain. With -diff the rewrites are printed as unified diffs
-// instead of written, and any finding — fixable or not — fails the run,
-// which is the CI check mode.
-//
-// -sarif emits the findings as a SARIF 2.1.0 document on stdout for
-// GitHub code-scanning annotations, with the same exit behaviour as the
-// default text mode.
 package main
 
 import (
@@ -50,9 +39,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	names := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list the available analyzers and exit")
-	fix := fs.Bool("fix", false, "apply the mechanical fixes attached to findings")
-	diff := fs.Bool("diff", false, "with -fix, print diffs instead of rewriting files (CI check mode)")
-	sarif := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 document on stdout")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -61,14 +47,6 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%-10s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	if *diff && !*fix {
-		fmt.Fprintln(stderr, "gcsvet: -diff requires -fix")
-		return 2
-	}
-	if *sarif && *fix {
-		fmt.Fprintln(stderr, "gcsvet: -sarif and -fix are mutually exclusive")
-		return 2
 	}
 	analyzers, err := lint.ByName(*names)
 	if err != nil {
@@ -86,83 +64,14 @@ func run(args []string, dir string, stdout, stderr io.Writer) int {
 	}
 	findings := lint.Run(pkgs, analyzers)
 	cwd, _ := filepath.Abs(dir)
-	rel := func(name string) string {
-		if r, err := filepath.Rel(cwd, name); err == nil && !filepath.IsAbs(r) {
-			return r
-		}
-		return name
-	}
-
-	if *sarif {
-		if err := lint.WriteSARIF(stdout, analyzers, findings, cwd); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		if len(findings) > 0 {
-			fmt.Fprintf(stderr, "gcsvet: %d finding(s)\n", len(findings))
-			return 1
-		}
-		return 0
-	}
-
-	if *fix {
-		return runFix(pkgs, findings, *diff, rel, stdout, stderr)
-	}
-
 	for _, f := range findings {
-		f.Pos.Filename = rel(f.Pos.Filename)
+		if r, err := filepath.Rel(cwd, f.Pos.Filename); err == nil {
+			f.Pos.Filename = r
+		}
 		fmt.Fprintln(stdout, f.String())
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "gcsvet: %d finding(s)\n", len(findings))
-		return 1
-	}
-	return 0
-}
-
-// runFix applies (or, under diff, previews) the attached fixes. In write
-// mode only unfixable findings fail the run — the fixed ones are resolved
-// on disk. In diff mode any finding fails: pending rewrites mean the tree
-// is not gcsvet-clean as committed.
-func runFix(pkgs []*lint.Package, findings []lint.Finding, diff bool, rel func(string) string, stdout, stderr io.Writer) int {
-	if len(pkgs) == 0 {
-		return 0
-	}
-	results, err := lint.ApplyFixes(pkgs[0].Fset, findings)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	fixed := 0
-	for _, r := range results {
-		fixed += r.Edits
-		if diff {
-			fmt.Fprint(stdout, lint.FixResult{Path: rel(r.Path), Orig: r.Orig, Fixed: r.Fixed}.Diff())
-			continue
-		}
-		if err := os.WriteFile(r.Path, r.Fixed, 0o644); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "gcsvet: fixed %s (%d rewrite(s))\n", rel(r.Path), r.Edits)
-	}
-	remaining := 0
-	for _, f := range findings {
-		if f.Fix != nil {
-			continue
-		}
-		remaining++
-		f.Pos.Filename = rel(f.Pos.Filename)
-		fmt.Fprintln(stdout, f.String())
-	}
-	if remaining > 0 {
-		fmt.Fprintf(stderr, "gcsvet: %d finding(s) without a mechanical fix\n", remaining)
-	}
-	if diff && len(findings) > 0 {
-		fmt.Fprintf(stderr, "gcsvet: %d finding(s), %d mechanically fixable\n", len(findings), fixed)
-		return 1
-	}
-	if remaining > 0 {
 		return 1
 	}
 	return 0

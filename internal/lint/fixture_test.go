@@ -92,7 +92,8 @@ func collectWants(t *testing.T, dir string) map[string][]string {
 
 // TestFixtures drives every analyzer over its testdata packages and checks
 // the reported findings against the `want` annotations: every finding must
-// be wanted at its exact file:line, and every want must fire.
+// be wanted at its exact file:line, every want must fire, and no finding
+// may be reported twice (a duplicate would otherwise hide behind one want).
 func TestFixtures(t *testing.T) {
 	tests := []struct {
 		name     string
@@ -125,7 +126,13 @@ func TestFixtures(t *testing.T) {
 			for k, ws := range wants {
 				matched[k] = make([]bool, len(ws))
 			}
+			seen := make(map[string]bool, len(findings))
 			for _, f := range findings {
+				if s := f.String(); seen[s] {
+					t.Errorf("duplicate finding: %s", s)
+				} else {
+					seen[s] = true
+				}
 				key := fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line)
 				ok := false
 				for i, w := range wants[key] {

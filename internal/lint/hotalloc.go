@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"go/ast"
-	"go/printer"
 	"go/token"
 	"go/types"
 )
@@ -64,11 +63,6 @@ func (c *hotChecker) report(n ast.Node, format string, args ...any) {
 		Analyzer: c.name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-func (c *hotChecker) reportFix(n ast.Node, fix *Fix, format string, args ...any) {
-	c.report(n, format, args...)
-	c.out[len(c.out)-1].Fix = fix
 }
 
 func (c *hotChecker) check() {
@@ -252,8 +246,7 @@ func (c *hotChecker) checkAppend(call *ast.CallExpr) {
 	if name == "" {
 		name = "destination"
 	}
-	fix := c.preallocFix(dst, call)
-	c.reportFix(call, fix, "appends to %s, which does not reuse preallocated backing storage; grow a scratch buffer (s := b.scratch[:0]) instead", name)
+	c.report(call, "appends to %s, which does not reuse preallocated backing storage; grow a scratch buffer (s := b.scratch[:0]) instead", name)
 }
 
 // safeDst reports whether an append destination reuses existing backing
@@ -339,101 +332,6 @@ func (c *hotChecker) isParamOrRecv(obj types.Object) bool {
 	return false
 }
 
-// preallocFix offers the mechanical rewrite for the common shape
-//
-//	var x []T          ->  x := make([]T, 0, len(y))
-//	for ... range y { x = append(x, ...) }
-//
-// when the flagged destination is a local declared with a bare var
-// statement and the append sits in a range loop over a measurable
-// operand. Returns nil when the shape does not match.
-func (c *hotChecker) preallocFix(dst ast.Expr, call *ast.CallExpr) *Fix {
-	id, ok := dst.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	obj := c.objOf(id)
-	if obj == nil {
-		return nil
-	}
-	var declStmt *ast.DeclStmt
-	var spec *ast.ValueSpec
-	ast.Inspect(c.decl.Body, func(n ast.Node) bool {
-		ds, ok := n.(*ast.DeclStmt)
-		if !ok {
-			return true
-		}
-		gd, ok := ds.Decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.VAR {
-			return true
-		}
-		for _, s := range gd.Specs {
-			vs, ok := s.(*ast.ValueSpec)
-			if !ok || len(vs.Values) > 0 || len(vs.Names) != 1 {
-				continue
-			}
-			if c.objOf(vs.Names[0]) == obj {
-				declStmt, spec = ds, vs
-			}
-		}
-		return true
-	})
-	if declStmt == nil {
-		return nil
-	}
-	dt := exprType(c.p, spec.Names[0])
-	if dt == nil {
-		if obj := c.objOf(spec.Names[0]); obj != nil {
-			dt = obj.Type()
-		}
-	}
-	if dt == nil {
-		return nil
-	}
-	if _, isSlice := dt.Underlying().(*types.Slice); !isSlice {
-		return nil
-	}
-	// The append must sit in a range loop whose operand has a length.
-	var rangeX ast.Expr
-	ast.Inspect(c.decl.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return true
-		}
-		if call.Pos() >= rng.Body.Pos() && call.End() <= rng.Body.End() {
-			if t := exprType(c.p, rng.X); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice, *types.Array, *types.Map:
-					rangeX = rng.X
-				}
-			}
-		}
-		return true
-	})
-	if rangeX == nil {
-		return nil
-	}
-	// len(rangeX) must already be evaluable at the var statement the fix
-	// replaces: a local range operand declared after it rules the fix out.
-	if id, ok := ast.Unparen(rangeX).(*ast.Ident); ok {
-		if obj := c.objOf(id); obj == nil || (obj.Pos() > declStmt.Pos() && !c.isParamOrRecv(obj)) {
-			return nil
-		}
-	}
-	elem := spec.Type
-	if arr, ok := elem.(*ast.ArrayType); ok && arr.Len == nil {
-		elem = arr.Elt
-	} else {
-		return nil
-	}
-	return &Fix{
-		Start: declStmt.Pos(),
-		End:   declStmt.End(),
-		Replacement: fmt.Sprintf("%s := make([]%s, 0, len(%s))",
-			id.Name, printNode(c.p.Fset, elem), printNode(c.p.Fset, rangeX)),
-	}
-}
-
 // capturedVars lists the enclosing-function variables a function literal
 // closes over (a capturing closure allocates its context per call).
 func capturedVars(p *Package, decl *ast.FuncDecl, lit *ast.FuncLit) []string {
@@ -464,15 +362,6 @@ func quoteList(names []string) string {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "%q", n)
-	}
-	return b.String()
-}
-
-// printNode renders an AST node back to source text.
-func printNode(fset *token.FileSet, n ast.Node) string {
-	var b bytes.Buffer
-	if err := printer.Fprint(&b, fset, n); err != nil {
-		return ""
 	}
 	return b.String()
 }

@@ -31,18 +31,6 @@ type Finding struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Fix, when non-nil, is a mechanical rewrite that resolves the
-	// finding (applied by gcsvet -fix).
-	Fix *Fix
-}
-
-// Fix is one textual rewrite: replace the source bytes spanning
-// [Start, End) with Replacement. NeedImport lists package paths the
-// replacement references, inserted into the file's imports if absent.
-type Fix struct {
-	Start, End  token.Pos
-	Replacement string
-	NeedImport  []string
 }
 
 // String renders the finding in the conventional file:line:col form.

@@ -29,12 +29,11 @@ func Maporder() *Analyzer {
 	}
 	a.Run = func(p *Package) []Finding {
 		var out []Finding
-		report := func(n ast.Node, fix *Fix, format string, args ...any) {
+		report := func(n ast.Node, format string, args ...any) {
 			out = append(out, Finding{
 				Pos:      p.Fset.Position(n.Pos()),
 				Analyzer: a.Name,
 				Message:  fmt.Sprintf(format, args...),
-				Fix:      fix,
 			})
 		}
 		for _, file := range p.Files {
@@ -66,7 +65,10 @@ func Maporder() *Analyzer {
 					checkMapRangeBody(p, rng, body, report)
 					return true
 				})
-				return true
+				// The walk above covered nested function literals, so
+				// stop here: each range is checked once, against its
+				// outermost enclosing function body.
+				return false
 			})
 		}
 		return out
@@ -75,121 +77,34 @@ func Maporder() *Analyzer {
 }
 
 // checkMapRangeBody inspects one map-range body for order leaks. body is
-// the innermost enclosing function body, used to look for a later sort of
-// any slice the range appends to. Every leak in one range shares the same
-// mechanical rewrite — iterate the keys sorted — so the collect-then-sort
-// fix is computed once per range and attached to each finding (ApplyFixes
-// collapses the duplicates).
-func checkMapRangeBody(p *Package, rng *ast.RangeStmt, body *ast.BlockStmt, report func(ast.Node, *Fix, string, ...any)) {
-	fix := maporderFix(p, rng, body)
+// the outermost enclosing function body, used to look for a later sort of
+// any slice the range appends to.
+func checkMapRangeBody(p *Package, rng *ast.RangeStmt, body *ast.BlockStmt, report func(ast.Node, string, ...any)) {
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
 				if i < len(n.Rhs) && isAppendCall(n.Rhs[i]) {
-					checkAppend(p, lhs, n, rng, body, fix, report)
+					checkAppend(p, lhs, n, rng, body, report)
 				}
 				if sel, ok := lhs.(*ast.SelectorExpr); ok && isResultsField(p, sel) {
-					report(n, fix, "writes Results.%s in map-iteration order; iterate sorted keys instead", sel.Sel.Name)
+					report(n, "writes Results.%s in map-iteration order; iterate sorted keys instead", sel.Sel.Name)
 				}
 			}
 		case *ast.IncDecStmt:
 			if sel, ok := n.X.(*ast.SelectorExpr); ok && isResultsField(p, sel) {
-				report(n, fix, "writes Results.%s in map-iteration order; iterate sorted keys instead", sel.Sel.Name)
+				report(n, "writes Results.%s in map-iteration order; iterate sorted keys instead", sel.Sel.Name)
 			}
 		case *ast.CallExpr:
 			if m, ok := methodCallOn(p, n, "internal/sim", "Engine"); ok && simScheduleMethods[m] {
-				report(n, fix, "schedules a sim event (Engine.%s) in map-iteration order; iterate sorted keys instead", m)
+				report(n, "schedules a sim event (Engine.%s) in map-iteration order; iterate sorted keys instead", m)
 			}
 			if m, ok := methodCallOn(p, n, "internal/obs", "Tracer"); ok && obsEmitMethods[m] {
-				report(n, fix, "emits an obs event (Tracer.%s) in map-iteration order; iterate sorted keys instead", m)
+				report(n, "emits an obs event (Tracer.%s) in map-iteration order; iterate sorted keys instead", m)
 			}
 		}
 		return true
 	})
-}
-
-// maporderFix builds the collect-then-sort rewrite for a key-only map
-// range:
-//
-//	for k := range m { ... }
-//
-// becomes
-//
-//	ks := make([]K, 0, len(m))
-//	for k := range m {
-//		ks = append(ks, k)
-//	}
-//	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-//	for _, k := range ks { ... }
-//
-// Returns nil when the shape rules the mechanical rewrite out: a ranged
-// value, a blank or absent key, a key type that is not an ordered basic
-// type, a side-effecting range operand (evaluated twice in the rewrite),
-// or no fresh name available for the key slice.
-func maporderFix(p *Package, rng *ast.RangeStmt, body *ast.BlockStmt) *Fix {
-	if rng.Value != nil || rng.Tok != token.DEFINE {
-		return nil
-	}
-	key, ok := rng.Key.(*ast.Ident)
-	if !ok || key.Name == "_" {
-		return nil
-	}
-	// The key ident of a `:=` range is a definition, not an expression:
-	// its type lives in Defs rather than the Types map.
-	var kt types.Type
-	if obj := p.Info.Defs[key]; obj != nil {
-		kt = obj.Type()
-	}
-	if kt == nil {
-		return nil
-	}
-	basic, ok := kt.Underlying().(*types.Basic)
-	if !ok || basic.Info()&types.IsOrdered == 0 || kt.String() != basic.String() {
-		return nil
-	}
-	switch ast.Unparen(rng.X).(type) {
-	case *ast.Ident, *ast.SelectorExpr:
-	default:
-		return nil // the operand is evaluated twice in the rewrite
-	}
-	slice := freshName(p, body, key.Name+"s")
-	if slice == "" {
-		return nil
-	}
-	mapSrc := printNode(p.Fset, rng.X)
-	bodySrc := printNode(p.Fset, rng.Body)
-	repl := fmt.Sprintf(
-		"%[1]s := make([]%[2]s, 0, len(%[3]s))\nfor %[4]s := range %[3]s {\n%[1]s = append(%[1]s, %[4]s)\n}\nsort.Slice(%[1]s, func(i, j int) bool { return %[1]s[i] < %[1]s[j] })\nfor _, %[4]s := range %[1]s %[5]s",
-		slice, basic.String(), mapSrc, key.Name, bodySrc)
-	return &Fix{
-		Start:       rng.Pos(),
-		End:         rng.End(),
-		Replacement: repl,
-		NeedImport:  []string{"sort"},
-	}
-}
-
-// freshName returns base, or base with a numeric suffix, such that no
-// identifier of that name appears anywhere in the function body; "" when
-// ten candidates are all taken.
-func freshName(p *Package, body *ast.BlockStmt, base string) string {
-	used := make(map[string]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			used[id.Name] = true
-		}
-		return true
-	})
-	if !used[base] {
-		return base
-	}
-	for i := 2; i < 12; i++ {
-		if cand := fmt.Sprintf("%s%d", base, i); !used[cand] {
-			return cand
-		}
-	}
-	return ""
 }
 
 // isAppendCall matches the builtin append.
@@ -212,10 +127,10 @@ func isResultsField(p *Package, sel *ast.SelectorExpr) bool {
 // checkAppend handles `s = append(s, ...)` inside a map range: allowed
 // only when s is a local identifier that some later statement of the
 // enclosing function passes to a sort call (the collect-then-sort idiom).
-func checkAppend(p *Package, lhs ast.Expr, at ast.Node, rng *ast.RangeStmt, body *ast.BlockStmt, fix *Fix, report func(ast.Node, *Fix, string, ...any)) {
+func checkAppend(p *Package, lhs ast.Expr, at ast.Node, rng *ast.RangeStmt, body *ast.BlockStmt, report func(ast.Node, string, ...any)) {
 	id, ok := lhs.(*ast.Ident)
 	if !ok {
-		report(at, fix, "appends to %s in map-iteration order; collect keys and sort first", exprIdentName(lhs))
+		report(at, "appends to %s in map-iteration order; collect keys and sort first", exprIdentName(lhs))
 		return
 	}
 	obj := p.Info.Uses[id]
@@ -225,7 +140,7 @@ func checkAppend(p *Package, lhs ast.Expr, at ast.Node, rng *ast.RangeStmt, body
 	if obj != nil && sortedAfter(p, body, rng.End(), obj) {
 		return
 	}
-	report(at, fix, "appends to %s in map-iteration order without a later sort; collect keys and sort first", id.Name)
+	report(at, "appends to %s in map-iteration order without a later sort; collect keys and sort first", id.Name)
 }
 
 // sortedAfter reports whether, after pos, the function body calls into

@@ -45,6 +45,29 @@ func accumulates(r *gcsteering.Results, m map[int]int64) {
 	}
 }
 
+func closureAppend(m map[string]int) []string {
+	var keys []string
+	collect := func() {
+		for k := range m {
+			keys = append(keys, k) // want "appends to keys in map-iteration order without a later sort"
+		}
+	}
+	collect()
+	return keys
+}
+
+func closureThenSort(m map[string]int) []string {
+	var keys []string
+	collect := func() {
+		for k := range m {
+			keys = append(keys, k)
+		}
+	}
+	collect()
+	sort.Strings(keys)
+	return keys
+}
+
 func sanctioned(m map[string]int) []string {
 	var keys []string
 	for k := range m {
