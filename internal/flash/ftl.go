@@ -1,6 +1,9 @@
 package flash
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Page and block sentinels.
 const (
@@ -20,6 +23,7 @@ type blockMeta struct {
 	validPages int32
 	writePtr   int32 // next page offset to program within the block
 	eraseCount int32
+	channel    int32 // the owning channel, b % Channels
 }
 
 // FTL is a page-mapped flash translation layer.
@@ -28,11 +32,19 @@ type blockMeta struct {
 // absorbs programs. Host writes stripe across channels round-robin so that
 // sequential logical writes exploit channel parallelism, the behaviour the
 // paper's §II-B relies on ("the internal parallelism of flash-based SSDs").
+//
+// A physical page number is block<<shift | offset, with shift the bit
+// length of PagesPerBlock-1, so the per-page path decodes a page with a
+// shift instead of a division by run-time geometry. When PagesPerBlock is
+// a power of two this is exactly block*PagesPerBlock+offset; otherwise
+// offsets PagesPerBlock..1<<shift-1 of each block are holes that never
+// map.
 type FTL struct {
-	geom Geometry
+	geom  Geometry
+	shift uint // page number = block<<shift | offset
 
 	l2p []int32 // logical page -> physical page, or unmapped
-	p2l []int32 // physical page -> logical page, or unmapped (free/invalid)
+	p2l []int32 // physical page -> logical page, or unmapped (free/invalid/hole)
 
 	blocks []blockMeta
 
@@ -64,10 +76,12 @@ func NewFTL(g Geometry) (*FTL, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
+	shift := uint(bits.Len(uint(g.PagesPerBlock - 1)))
 	f := &FTL{
 		geom:       g,
+		shift:      shift,
 		l2p:        make([]int32, g.LogicalPages()),
-		p2l:        make([]int32, g.PhysPages()),
+		p2l:        make([]int32, g.Blocks<<shift),
 		blocks:     make([]blockMeta, g.Blocks),
 		freeByChan: make([][]int, g.Channels),
 		coldStart:  g.LogicalPages(),
@@ -90,6 +104,7 @@ func NewFTL(g Geometry) (*FTL, error) {
 	// Populate free lists channel by channel, low block numbers first.
 	for b := g.Blocks - 1; b >= 0; b-- {
 		c := g.BlockChannel(b)
+		f.blocks[b].channel = int32(c)
 		f.freeByChan[c] = append(f.freeByChan[c], b)
 	}
 	f.freeBlocks = g.Blocks
@@ -122,6 +137,15 @@ func (f *FTL) Clone() *FTL {
 
 // Geometry returns the device geometry.
 func (f *FTL) Geometry() Geometry { return f.geom }
+
+// LogicalPages returns the number of pages exposed to the host.
+func (f *FTL) LogicalPages() int { return len(f.l2p) }
+
+// PageBlock returns the erase block containing physical page ppn.
+func (f *FTL) PageBlock(ppn int) int { return ppn >> f.shift }
+
+// PageChannel returns the channel that services physical page ppn.
+func (f *FTL) PageChannel(ppn int) int { return int(f.blocks[ppn>>f.shift].channel) }
 
 // FreeBlocks returns the number of fully erased blocks.
 func (f *FTL) FreeBlocks() int { return f.freeBlocks }
@@ -181,10 +205,10 @@ func (f *FTL) Write(lpn int) int {
 	f.checkLPN(lpn)
 	f.invalidate(lpn)
 	stream := f.streamOf(lpn)
-	ppn := f.allocate(stream, f.pickWriteChannel(stream))
+	ppn, b := f.allocate(stream, f.pickWriteChannel(stream))
 	f.l2p[lpn] = int32(ppn)
 	f.p2l[ppn] = int32(lpn)
-	f.blocks[f.geom.PageBlock(ppn)].validPages++
+	f.blocks[b].validPages++
 	f.mappedPages++
 	f.hostWrites++
 	return ppn
@@ -210,7 +234,7 @@ func (f *FTL) invalidate(lpn int) {
 	}
 	f.l2p[lpn] = unmapped
 	f.p2l[old] = unmapped
-	f.blocks[f.geom.PageBlock(int(old))].validPages--
+	f.blocks[old>>f.shift].validPages--
 	f.mappedPages--
 }
 
@@ -219,13 +243,21 @@ func (f *FTL) invalidate(lpn int) {
 // exhausted it panics: GC must run before that point.
 func (f *FTL) pickWriteChannel(stream int) int {
 	for i := 0; i < f.geom.Channels; i++ {
-		c := f.nextChan
-		f.nextChan = (f.nextChan + 1) % f.geom.Channels
-		if f.channelHasRoom(stream, c) {
+		if c := f.advanceChan(); f.channelHasRoom(stream, c) {
 			return c
 		}
 	}
 	panic("flash: device out of space on every channel; GC was not run")
+}
+
+// advanceChan returns the round-robin cursor and moves it to the next
+// channel.
+func (f *FTL) advanceChan() int {
+	c := f.nextChan
+	if f.nextChan++; f.nextChan == f.geom.Channels {
+		f.nextChan = 0
+	}
+	return c
 }
 
 func (f *FTL) channelHasRoom(stream, c int) bool {
@@ -237,8 +269,9 @@ func (f *FTL) channelHasRoom(stream, c int) bool {
 }
 
 // allocate returns the next physical page on channel c in the given
-// stream, opening a fresh active block when the current one fills.
-func (f *FTL) allocate(stream, c int) int {
+// stream and its block, opening a fresh active block when the current one
+// fills.
+func (f *FTL) allocate(stream, c int) (ppn, block int) {
 	ab := f.activeBlock[stream][c]
 	if ab < 0 || f.blocks[ab].writePtr >= int32(f.geom.PagesPerBlock) {
 		if ab >= 0 {
@@ -255,9 +288,9 @@ func (f *FTL) allocate(stream, c int) int {
 		f.blocks[ab].writePtr = 0
 		f.activeBlock[stream][c] = ab
 	}
-	ppn := ab*f.geom.PagesPerBlock + int(f.blocks[ab].writePtr)
+	ppn = ab<<f.shift | int(f.blocks[ab].writePtr)
 	f.blocks[ab].writePtr++
-	return ppn
+	return ppn, ab
 }
 
 // BlockValidPages returns the number of valid pages in block b (test hook).
@@ -283,26 +316,36 @@ func (f *FTL) CheckInvariants() error {
 		return fmt.Errorf("flash: mappedPages=%d but %d mappings exist", f.mappedPages, mapped)
 	}
 	validByBlock := make([]int32, f.geom.Blocks)
+	offMask := 1<<f.shift - 1
 	for ppn, lpn := range f.p2l {
 		if lpn == unmapped {
 			continue
 		}
+		if ppn&offMask >= f.geom.PagesPerBlock {
+			return fmt.Errorf("flash: p2l[%d]=%d maps a page past the end of block %d", ppn, lpn, f.PageBlock(ppn))
+		}
 		if f.l2p[lpn] != int32(ppn) {
 			return fmt.Errorf("flash: p2l[%d]=%d but l2p[%d]=%d", ppn, lpn, lpn, f.l2p[lpn])
 		}
-		validByBlock[f.geom.PageBlock(ppn)]++
+		validByBlock[f.PageBlock(ppn)]++
 	}
-	freeCount := 0
+	freeCount, activeCount := 0, 0
 	for b := range f.blocks {
+		if c := f.geom.BlockChannel(b); int(f.blocks[b].channel) != c {
+			return fmt.Errorf("flash: block %d records channel %d, owned by %d", b, f.blocks[b].channel, c)
+		}
 		if f.blocks[b].validPages != validByBlock[b] {
 			return fmt.Errorf("flash: block %d validPages=%d, recount=%d",
 				b, f.blocks[b].validPages, validByBlock[b])
 		}
-		if f.blocks[b].state == blockFree {
+		switch f.blocks[b].state {
+		case blockFree:
 			freeCount++
 			if validByBlock[b] != 0 {
 				return fmt.Errorf("flash: free block %d has %d valid pages", b, validByBlock[b])
 			}
+		case blockActive:
+			activeCount++
 		}
 	}
 	if freeCount != f.freeBlocks {
@@ -317,6 +360,33 @@ func (f *FTL) CheckInvariants() error {
 				return fmt.Errorf("flash: non-free block %d on free list", b)
 			}
 		}
+	}
+	// Every active block is exactly one stream's active block on its own
+	// channel, so a full block — the only kind pickVictim returns — is
+	// never where allocate programs next.
+	slots := 0
+	inSlot := make([]bool, f.geom.Blocks)
+	for st := range f.activeBlock {
+		for c, b := range f.activeBlock[st] {
+			if b < 0 {
+				continue
+			}
+			slots++
+			if inSlot[b] {
+				return fmt.Errorf("flash: block %d is active in two slots", b)
+			}
+			inSlot[b] = true
+			if f.blocks[b].state != blockActive {
+				return fmt.Errorf("flash: stream %d channel %d active block %d in state %d",
+					st, c, b, f.blocks[b].state)
+			}
+			if int(f.blocks[b].channel) != c {
+				return fmt.Errorf("flash: block %d active on channel %d, owned by %d", b, c, f.blocks[b].channel)
+			}
+		}
+	}
+	if slots != activeCount {
+		return fmt.Errorf("flash: %d active-block slots but %d blocks in the active state", slots, activeCount)
 	}
 	return nil
 }

@@ -16,6 +16,14 @@ func testGeom() Geometry {
 	}
 }
 
+// testGeoms returns testGeom and a variant whose block size is not a power
+// of two, so its page numbering has holes between blocks.
+func testGeoms() []Geometry {
+	odd := testGeom()
+	odd.PagesPerBlock = 24
+	return []Geometry{testGeom(), odd}
+}
+
 func mustFTL(t *testing.T, g Geometry) *FTL {
 	t.Helper()
 	f, err := NewFTL(g)
@@ -47,22 +55,35 @@ func TestGeometryValidate(t *testing.T) {
 }
 
 func TestGeometryDerivedSizes(t *testing.T) {
-	g := testGeom()
-	if g.PhysPages() != 64*32 {
-		t.Fatalf("PhysPages = %d", g.PhysPages())
-	}
-	lp := g.LogicalPages()
-	if lp%g.PagesPerBlock != 0 {
-		t.Fatalf("LogicalPages %d not block aligned", lp)
-	}
-	if lp >= g.PhysPages() {
-		t.Fatalf("LogicalPages %d >= PhysPages %d", lp, g.PhysPages())
-	}
-	if g.LogicalBytes() != int64(lp)*4096 {
-		t.Fatalf("LogicalBytes = %d", g.LogicalBytes())
-	}
-	if g.PageChannel(33) != g.BlockChannel(1) {
-		t.Fatal("PageChannel disagrees with BlockChannel")
+	for _, g := range testGeoms() {
+		if g.PhysPages() != 64*g.PagesPerBlock {
+			t.Fatalf("PhysPages = %d", g.PhysPages())
+		}
+		lp := g.LogicalPages()
+		if lp%g.PagesPerBlock != 0 {
+			t.Fatalf("LogicalPages %d not block aligned", lp)
+		}
+		if lp >= g.PhysPages() {
+			t.Fatalf("LogicalPages %d >= PhysPages %d", lp, g.PhysPages())
+		}
+		if g.LogicalBytes() != int64(lp)*4096 {
+			t.Fatalf("LogicalBytes = %d", g.LogicalBytes())
+		}
+		f := mustFTL(t, g)
+		if f.LogicalPages() != lp {
+			t.Fatalf("FTL LogicalPages = %d, want %d", f.LogicalPages(), lp)
+		}
+		for b := 0; b < g.Blocks; b++ {
+			for _, off := range []int{0, 1, g.PagesPerBlock - 1} {
+				ppn := b<<f.shift | off
+				if f.PageBlock(ppn) != b {
+					t.Fatalf("PagesPerBlock %d: PageBlock(%d) = %d, want %d", g.PagesPerBlock, ppn, f.PageBlock(ppn), b)
+				}
+				if f.PageChannel(ppn) != g.BlockChannel(b) {
+					t.Fatal("PageChannel disagrees with BlockChannel")
+				}
+			}
+		}
 	}
 }
 
@@ -107,14 +128,15 @@ func TestWriteReadBack(t *testing.T) {
 }
 
 func TestWritesStripeAcrossChannels(t *testing.T) {
-	g := testGeom()
-	f := mustFTL(t, g)
-	seen := make(map[int]bool)
-	for lpn := 0; lpn < g.Channels; lpn++ {
-		seen[g.PageChannel(f.Write(lpn))] = true
-	}
-	if len(seen) != g.Channels {
-		t.Fatalf("first %d writes hit %d channels, want all %d", g.Channels, len(seen), g.Channels)
+	for _, g := range testGeoms() {
+		f := mustFTL(t, g)
+		seen := make(map[int]bool)
+		for lpn := 0; lpn < g.Channels; lpn++ {
+			seen[f.PageChannel(f.Write(lpn))] = true
+		}
+		if len(seen) != g.Channels {
+			t.Fatalf("first %d writes hit %d channels, want all %d", g.Channels, len(seen), g.Channels)
+		}
 	}
 }
 

@@ -78,31 +78,28 @@ func (f *FTL) pickVictim() int {
 // programs proceed in parallel instead of serializing behind the victim's
 // own channel.
 func (f *FTL) collectBlock(b int, plan *Plan) {
-	ch := f.geom.BlockChannel(b)
+	ch := int(f.blocks[b].channel)
 	moved := 0
-	base := b * f.geom.PagesPerBlock
-	for off := 0; off < f.geom.PagesPerBlock; off++ {
-		from := base + off
-		lpn := f.p2l[from]
+	base := b << f.shift
+	for off, lpn := range f.p2l[base : base+f.geom.PagesPerBlock] {
 		if lpn == unmapped {
 			continue
 		}
-		preferred := f.nextChan
-		f.nextChan = (f.nextChan + 1) % f.geom.Channels
-		to, toChan := f.allocateForGC(f.streamOf(int(lpn)), preferred, b)
+		to, toBlock, toChan := f.allocateForGC(f.streamOf(int(lpn)))
 		// Relocate the mapping.
-		f.p2l[from] = unmapped
+		f.p2l[base+off] = unmapped
 		f.blocks[b].validPages--
 		f.l2p[lpn] = int32(to)
 		f.p2l[to] = lpn
-		f.blocks[f.geom.PageBlock(to)].validPages++
+		f.blocks[toBlock].validPages++
 		plan.ChannelPrograms[toChan]++
 		moved++
 	}
 	f.gcWrites += int64(moved)
 	plan.ChannelReads[ch] += moved
 	plan.PagesMoved += moved
-	// Erase.
+	// Erase. The victim was full, so it was no stream's active block and
+	// no active slot needs clearing.
 	f.blocks[b].state = blockFree
 	f.blocks[b].writePtr = 0
 	f.blocks[b].eraseCount++
@@ -110,66 +107,29 @@ func (f *FTL) collectBlock(b int, plan *Plan) {
 	plan.ChannelErases[ch]++
 	plan.Erases++
 	plan.Victims++
-	for st := 0; st < 2; st++ {
-		if f.activeBlock[st][ch] == b {
-			f.activeBlock[st][ch] = -1
-		}
-	}
 	f.freeByChan[ch] = append(f.freeByChan[ch], b)
 	f.freeBlocks++
 }
 
 // allocateForGC allocates a destination page for a GC move, preferring the
-// given channel and spilling to the next channels when it is full, and
-// returns the page and its channel. The victim block itself is excluded
-// as a destination (it is about to be erased).
-func (f *FTL) allocateForGC(stream, preferred, victim int) (ppn, channel int) {
+// channel under the round-robin cursor and spilling to the next channels
+// when it is full, and returns the page, its block and its channel.
+//
+// The victim needs no exclusion as a destination. pickVictim returns only
+// full blocks, and a full block is on no free stack (it gets there only
+// once erased) and is no stream's active block (allocate replaces an
+// active block the moment it marks it full). So allocate can never hand
+// out a page of the block being collected.
+func (f *FTL) allocateForGC(stream int) (ppn, block, channel int) {
+	c := f.advanceChan()
 	for i := 0; i < f.geom.Channels; i++ {
-		c := (preferred + i) % f.geom.Channels
-		if f.channelHasRoomExcluding(stream, c, victim) {
-			return f.allocateExcluding(stream, c, victim), c
+		if f.channelHasRoom(stream, c) {
+			ppn, block = f.allocate(stream, c)
+			return ppn, block, c
+		}
+		if c++; c == f.geom.Channels {
+			c = 0
 		}
 	}
 	panic("flash: no room anywhere for GC relocation; over-provisioning too small")
-}
-
-func (f *FTL) channelHasRoomExcluding(stream, c, victim int) bool {
-	for _, b := range f.freeByChan[c] {
-		if b != victim {
-			return true
-		}
-	}
-	ab := f.activeBlock[stream][c]
-	return ab >= 0 && ab != victim && f.blocks[ab].writePtr < int32(f.geom.PagesPerBlock)
-}
-
-// allocateExcluding is allocate but will never open the excluded block as
-// the active block.
-func (f *FTL) allocateExcluding(stream, c, excluded int) int {
-	ab := f.activeBlock[stream][c]
-	if ab < 0 || ab == excluded || f.blocks[ab].writePtr >= int32(f.geom.PagesPerBlock) {
-		if ab >= 0 && f.blocks[ab].writePtr >= int32(f.geom.PagesPerBlock) {
-			f.blocks[ab].state = blockFull
-		}
-		idx := -1
-		for i := len(f.freeByChan[c]) - 1; i >= 0; i-- {
-			if f.freeByChan[c][i] != excluded {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			panic("flash: allocateExcluding called with no eligible free block")
-		}
-		nb := f.freeByChan[c][idx]
-		f.freeByChan[c] = append(f.freeByChan[c][:idx], f.freeByChan[c][idx+1:]...)
-		f.freeBlocks--
-		f.blocks[nb].state = blockActive
-		f.blocks[nb].writePtr = 0
-		f.activeBlock[stream][c] = nb
-		ab = nb
-	}
-	ppn := ab*f.geom.PagesPerBlock + int(f.blocks[ab].writePtr)
-	f.blocks[ab].writePtr++
-	return ppn
 }

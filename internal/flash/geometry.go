@@ -86,9 +86,3 @@ func (g Geometry) LogicalBytes() int64 {
 
 // BlockChannel returns the channel owning physical block b.
 func (g Geometry) BlockChannel(b int) int { return b % g.Channels }
-
-// PageBlock returns the erase block containing physical page p.
-func (g Geometry) PageBlock(p int) int { return p / g.PagesPerBlock }
-
-// PageChannel returns the channel that services physical page p.
-func (g Geometry) PageChannel(p int) int { return g.BlockChannel(g.PageBlock(p)) }

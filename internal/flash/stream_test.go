@@ -22,63 +22,64 @@ func TestColdBoundaryValidation(t *testing.T) {
 }
 
 func TestStreamsUseSeparateActiveBlocks(t *testing.T) {
-	g := testGeom()
-	f := mustFTL(t, g)
-	boundary := g.LogicalPages() / 2
-	f.SetColdBoundary(boundary)
-	hot := f.Write(0)
-	cold := f.Write(boundary)
-	if g.PageBlock(hot) == g.PageBlock(cold) {
-		t.Fatalf("hot page %d and cold page %d share block %d", hot, cold, g.PageBlock(hot))
-	}
-	// Consecutive writes within one stream share active blocks as usual.
-	hot2 := f.Write(1)
-	if g.PageChannel(hot) == g.PageChannel(hot2) && g.PageBlock(hot) != g.PageBlock(hot2) {
-		t.Fatalf("same-channel hot writes did not share the active block")
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, g := range testGeoms() {
+		f := mustFTL(t, g)
+		boundary := g.LogicalPages() / 2
+		f.SetColdBoundary(boundary)
+		hot := f.Write(0)
+		cold := f.Write(boundary)
+		if f.PageBlock(hot) == f.PageBlock(cold) {
+			t.Fatalf("hot page %d and cold page %d share block %d", hot, cold, f.PageBlock(hot))
+		}
+		// Consecutive writes within one stream share active blocks as usual.
+		hot2 := f.Write(1)
+		if f.PageChannel(hot) == f.PageChannel(hot2) && f.PageBlock(hot) != f.PageBlock(hot2) {
+			t.Fatalf("same-channel hot writes did not share the active block")
+		}
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestColdPagesNeverMixWithHotBlocks(t *testing.T) {
-	g := testGeom()
-	f := mustFTL(t, g)
-	boundary := g.LogicalPages() * 3 / 4
-	f.SetColdBoundary(boundary)
-	rng := rand.New(rand.NewSource(6))
-	// Interleave hot and cold writes heavily, with GC.
-	for i := 0; i < 20000; i++ {
-		if rng.Intn(4) == 0 {
-			f.Write(boundary + rng.Intn(g.LogicalPages()-boundary))
-		} else {
-			f.Write(rng.Intn(boundary))
+	for _, g := range testGeoms() {
+		f := mustFTL(t, g)
+		boundary := g.LogicalPages() * 3 / 4
+		f.SetColdBoundary(boundary)
+		rng := rand.New(rand.NewSource(6))
+		// Interleave hot and cold writes heavily, with GC.
+		for i := 0; i < 20000; i++ {
+			if rng.Intn(4) == 0 {
+				f.Write(boundary + rng.Intn(g.LogicalPages()-boundary))
+			} else {
+				f.Write(rng.Intn(boundary))
+			}
+			if f.NeedGC(2) {
+				f.CollectUntil(6, 0)
+			}
 		}
-		if f.NeedGC(2) {
-			f.CollectUntil(6, 0)
-		}
-	}
-	// Every block must be pure: all-hot or all-cold among its valid pages.
-	for b := 0; b < g.Blocks; b++ {
-		hot, cold := 0, 0
-		base := b * g.PagesPerBlock
-		for off := 0; off < g.PagesPerBlock; off++ {
-			lpn := f.p2l[base+off]
-			if lpn == unmapped {
+		// Every block must be pure: all-hot or all-cold among its valid pages.
+		hot, cold := make([]int, g.Blocks), make([]int, g.Blocks)
+		for lpn := 0; lpn < g.LogicalPages(); lpn++ {
+			ppn := f.Lookup(lpn)
+			if ppn < 0 {
 				continue
 			}
-			if int(lpn) >= boundary {
-				cold++
+			if lpn >= boundary {
+				cold[f.PageBlock(ppn)]++
 			} else {
-				hot++
+				hot[f.PageBlock(ppn)]++
 			}
 		}
-		if hot > 0 && cold > 0 {
-			t.Fatalf("block %d mixes %d hot and %d cold valid pages", b, hot, cold)
+		for b := range hot {
+			if hot[b] > 0 && cold[b] > 0 {
+				t.Fatalf("block %d mixes %d hot and %d cold valid pages", b, hot[b], cold[b])
+			}
 		}
-	}
-	if err := f.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		if err := f.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

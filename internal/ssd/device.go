@@ -254,7 +254,7 @@ func (d *Device) Clone(id int, eng *sim.Engine) *Device {
 func (d *Device) Config() Config { return d.cfg }
 
 // LogicalPages is the host-visible page count.
-func (d *Device) LogicalPages() int { return d.cfg.Geometry.LogicalPages() }
+func (d *Device) LogicalPages() int { return d.ftl.LogicalPages() }
 
 // PageSize is the page size in bytes.
 func (d *Device) PageSize() int { return d.cfg.Geometry.PageSize }
@@ -287,12 +287,6 @@ func (d *Device) occupy(now sim.Time, c int, dur sim.Time) sim.Time {
 	d.free[c] = end
 	d.stats.BusyTime += dur
 	return end
-}
-
-// channelFor maps a logical page with no physical mapping to a channel so
-// reads of never-written pages still cost one read.
-func (d *Device) channelFor(lpn int) int {
-	return lpn % d.cfg.Geometry.Channels
 }
 
 // faultDelay returns the fault hook's extra service time for one page op.
@@ -363,13 +357,16 @@ func (d *Device) Read(now sim.Time, lpn, pages int, done func(now sim.Time)) err
 	d.stats.PagesRead += int64(pages)
 	finish := now
 	var service sim.Time
+	// A never-written page still costs one read, on channel
+	// lpn % Channels; blank tracks that channel page by page.
+	blank := lpn % len(d.free)
 	for i := 0; i < pages; i++ {
-		ppn := d.ftl.Lookup(lpn + i)
-		var c int
-		if ppn >= 0 {
-			c = d.cfg.Geometry.PageChannel(ppn)
-		} else {
-			c = d.channelFor(lpn + i)
+		c := blank
+		if ppn := d.ftl.Lookup(lpn + i); ppn >= 0 {
+			c = d.ftl.PageChannel(ppn)
+		}
+		if blank++; blank == len(d.free) {
+			blank = 0
 		}
 		dur := d.cfg.Latency.PageRead + d.cfg.Latency.BusTransfer + d.faultDelay(now, c, false)
 		service += dur
@@ -401,7 +398,7 @@ func (d *Device) Write(now sim.Time, lpn, pages int, done func(now sim.Time)) er
 	var service sim.Time
 	for i := 0; i < pages; i++ {
 		ppn := d.ftl.Write(lpn + i)
-		c := d.cfg.Geometry.PageChannel(ppn)
+		c := d.ftl.PageChannel(ppn)
 		dur := d.cfg.Latency.PageProgram + d.cfg.Latency.BusTransfer + d.faultDelay(now, c, true)
 		service += dur
 		end := d.occupy(now, c, dur)
