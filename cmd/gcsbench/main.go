@@ -3,30 +3,10 @@
 //
 // Usage:
 //
-//	gcsbench -experiment fig7a [-requests 20000] [-workers 8] [-seed 1]
+//	gcsbench -experiment fig7a [-requests 20000] [-workers 8] [-seed 1] [-json out.json]
 //
-// Experiments: table1, fig1 (variability timeline), fig2, fig7a, fig7b (an
-// alias of fig7a's run that highlights GC counts), fig8, fig9, fig10,
-// fig11, raid6 (the future-work extension), endurance, faults (the
-// reliability grid under injected failures), scrub (the self-healing grid:
-// patrol scrub and GC-hedged reads under seeded latent errors), failslow
-// (the fail-slow tolerance grid: health quarantine and hedged reads under
-// a sustained member slowdown with transient read errors), cluster (the
-// fleet grid: many arrays and tenants behind consistent-hash placement,
-// hash-only vs GC/rebuild-aware routing), chaos (the failure-domain grid:
-// whole-array crashes under a seeded chaos plan, unreplicated vs
-// replicated writes), crashconsist (the crash-consistency grid: power loss
-// mid-write with torn pages, intent journal vs full-scrub remount), all.
-// Run with -list-experiments to print the registry (harness.Experiments).
-//
-// -json <path> additionally writes the machine-readable results of the run
-// (every grid's full metric tables) to the given file.
-//
-// -trace <path> streams the structured simulation event log (JSONL, one
-// event per line) of the tracing-aware experiments — currently fig1, whose
-// sequential per-scheme runs are separated by "run-start" events. -timeseries
-// <path> writes fig1's windowed latency/gauge time series as CSV, one
-// labelled block per scheme. Parallel grid experiments ignore both flags.
+// -list-experiments prints every experiment with its blurb (the registry,
+// harness.Experiments); -h lists the flags.
 package main
 
 import (
@@ -86,7 +66,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		requests   = fs.Int("requests", 8000, "requests per workload (scaled-down replay of the Table I traces)")
 		workers    = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		seed       = fs.Int64("seed", 0, "seed offset for replication")
-		repeats    = fs.Int("repeats", 1, "average each cell over this many seeds")
+		repeats    = fs.Int("repeats", 1, "average each cell over this many seeds (fig7a, fig8, fig9, fig10 and raid6; the other grids run each cell once)")
 		jsonPath   = fs.String("json", "", "also write results as JSON to this file")
 		tracePath  = fs.String("trace", "", "write the simulation event log (JSONL) of tracing-aware experiments (fig1) to this file")
 		seriesPath = fs.String("timeseries", "", "write the windowed latency time series (CSV) of tracing-aware experiments (fig1) to this file")

@@ -16,7 +16,7 @@
 //	cfg := gcsteering.DefaultConfig()
 //	cfg.Scheme = gcsteering.SchemeSteering
 //	sys, err := gcsteering.New(cfg)
-//	tr, err := sys.GenerateWorkload("Fin1", 20000)
+//	tr, err := sys.GenerateWorkload("Fin1", 20000) // or cfg.GenerateWorkload
 //	res, err := sys.Replay(tr)
 //	fmt.Println(res.Latency)
 package gcsteering
@@ -28,8 +28,10 @@ import (
 	"gcsteering/internal/fault"
 	"gcsteering/internal/flash"
 	"gcsteering/internal/raid"
+	"gcsteering/internal/rebuild"
 	"gcsteering/internal/sim"
 	"gcsteering/internal/ssd"
+	"gcsteering/internal/workload"
 )
 
 // Scheme selects the GC-handling scheme under test.
@@ -446,8 +448,21 @@ func (c Config) Validate() error {
 	if c.Fault.RebuildTarget == RebuildToStaging && c.Scheme != SchemeSteering {
 		return fmt.Errorf("gcsteering: RebuildToStaging needs a staging space (scheme %v has none)", c.Scheme)
 	}
-	if math.IsNaN(c.ScrubMBps) {
-		return fmt.Errorf("gcsteering: ScrubMBps is NaN")
+	// Every bandwidth cap must pace its transfers (a stripe unit for the
+	// rebuild, a whole stripe for the scrub and the resync) within
+	// sim.Horizon.
+	unitBytes := int64(c.StripeUnitKB) * 1024
+	caps := []struct {
+		name  string
+		bytes int64
+		mbps  float64
+	}{{"Fault.RebuildMBps", unitBytes, c.Fault.RebuildMBps},
+		{"ScrubMBps", unitBytes * int64(c.Disks), c.ScrubMBps},
+		{"ResyncMBps", unitBytes * int64(c.Disks), c.ResyncMBps}}
+	for _, p := range caps {
+		if err := rebuild.CheckPace(p.bytes, p.mbps); err != nil {
+			return fmt.Errorf("gcsteering: %s %w", p.name, err)
+		}
 	}
 	// Every ms/µs field must convert to engine time inside sim.Horizon, so
 	// no conversion overflows and no instant formed from one runs past the
@@ -481,9 +496,6 @@ func (c Config) Validate() error {
 	if c.HedgedReads && c.Level != RAID5 && c.Level != RAID6 {
 		return fmt.Errorf("gcsteering: HedgedReads needs RAID5/6 parity (level %v)", c.Level)
 	}
-	if math.IsNaN(c.ResyncMBps) || math.IsInf(c.ResyncMBps, 0) {
-		return fmt.Errorf("gcsteering: ResyncMBps %v not finite", c.ResyncMBps)
-	}
 	if c.PowerLossAtMs > 0 && c.Level != RAID5 && c.Level != RAID6 {
 		return fmt.Errorf("gcsteering: PowerLossAtMs needs RAID5/6 parity (level %v)", c.Level)
 	}
@@ -497,8 +509,8 @@ func (c Config) Validate() error {
 }
 
 // Capacity returns the array's host-visible logical capacity in bytes
-// without building the system (System.Capacity reports the same value).
-// The cluster layer sizes tenant volumes from it before any shard exists.
+// without building the system. The cluster layer sizes tenant volumes from
+// it before any shard exists, and GenerateWorkload sizes traces by it.
 func (c Config) Capacity() int64 {
 	lay := raid.Layout{
 		Level:     c.Level,
@@ -507,6 +519,23 @@ func (c Config) Capacity() int64 {
 		DiskPages: c.diskPages(),
 	}
 	return int64(lay.LogicalPages()) * int64(c.Flash.PageSize)
+}
+
+// GenerateWorkload synthesizes up to maxRequests of the named Table I
+// profile sized to the array's capacity (maxRequests <= 0 keeps the full
+// published request count), without building the system. A trace depends
+// only on the capacity and the seed, so a caller can derive fault instants
+// and bandwidth caps from it before the one build that replays it.
+func (c Config) GenerateWorkload(profile string, maxRequests int) (Trace, error) {
+	p, ok := workload.ByName(profile)
+	if !ok {
+		return nil, fmt.Errorf("gcsteering: unknown profile %q (have %v)", profile, workload.Names())
+	}
+	return workload.Generate(p, workload.Options{
+		Capacity:    c.Capacity(),
+		MaxRequests: maxRequests,
+		Seed:        c.Seed + 7,
+	})
 }
 
 // deviceConfig is the SSD configuration shared by the members, the

@@ -63,7 +63,7 @@ func main() {
 		dur := tr[len(tr)-1].Timestamp.Seconds()
 		cfg.Fault = gcsteering.FaultPlan{
 			Failures:      []gcsteering.DiskFault{{Disk: failDisk, AtMs: 0}},
-			RebuildMBps:   float64(normalSys.Capacity()) / 4 / 1e6 / dur,
+			RebuildMBps:   float64(cfg.Capacity()) / 4 / 1e6 / dur,
 			RebuildTarget: v.target,
 		}
 		rebSys, err := gcsteering.New(cfg)

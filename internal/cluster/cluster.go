@@ -36,6 +36,7 @@ import (
 
 	"gcsteering"
 	"gcsteering/internal/obs"
+	"gcsteering/internal/rebuild"
 	"gcsteering/internal/sim"
 	"gcsteering/internal/trace"
 	"gcsteering/internal/workload"
@@ -371,7 +372,27 @@ func (c Config) Validate() error {
 	if err := c.Chaos.validate(c.Arrays); err != nil {
 		return err
 	}
-	return c.Base.Validate()
+	if err := c.Base.Validate(); err != nil {
+		return err
+	}
+	// A copy job moves one volume (at most an array's capacity) in
+	// copyChunk-sized transfers, and a resync walks a recovering array's
+	// scope, sized here by one array's capacity; each paced interval must
+	// stay within sim.Horizon.
+	capacity := c.Base.Capacity()
+	caps := []struct {
+		name  string
+		bytes int64
+		mbps  float64
+	}{{"RereplicateMBps", copyChunk(capacity), c.RereplicateMBps},
+		{"MigrateMBps", copyChunk(capacity), c.MigrateMBps},
+		{"ResyncMBps", capacity, c.ResyncMBps}}
+	for _, p := range caps {
+		if err := rebuild.CheckPace(p.bytes, p.mbps); err != nil {
+			return fmt.Errorf("cluster: %s %w", p.name, err)
+		}
+	}
+	return nil
 }
 
 // placedReq is one admitted request resolved to its volume.

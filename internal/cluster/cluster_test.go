@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -102,6 +103,38 @@ func TestConfigValidate(t *testing.T) {
 		tc.mut(&c)
 		if err := c.Validate(); err == nil {
 			t.Errorf("%s: validation passed", tc.name)
+		}
+	}
+}
+
+// TestBandwidthCapsValidated pins the pacing bound for the fleet's copy
+// and resync caps: a cap whose interval (per copy chunk, or per resync of
+// a whole array's capacity) overflows engine time used to wrap negative
+// and run uncapped. Caps <= 0 still mean "default" or "off".
+func TestBandwidthCapsValidated(t *testing.T) {
+	good := Config{Arrays: 2, Base: tinyBase(), Tenants: tinyTenants(1, 10)}
+	caps := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"RereplicateMBps", func(c *Config, v float64) { c.RereplicateMBps = v }},
+		{"MigrateMBps", func(c *Config, v float64) { c.MigrateMBps = v }},
+		{"ResyncMBps", func(c *Config, v float64) { c.ResyncMBps = v }},
+	}
+	for _, f := range caps {
+		for _, v := range []float64{1e-300, math.NaN(), math.Inf(1)} {
+			c := good
+			f.set(&c, v)
+			if err := c.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
+		for _, v := range []float64{0, 1e-3, 50, 1e300} {
+			c := good
+			f.set(&c, v)
+			if err := c.Validate(); err != nil {
+				t.Errorf("%s = %v rejected: %v", f.name, v, err)
+			}
 		}
 	}
 }

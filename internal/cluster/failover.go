@@ -544,7 +544,7 @@ func (rt *router) failover(ev domainEvent) {
 func (rt *router) recover(ev domainEvent) {
 	if rt.resyncBytes != nil {
 		bytes := rt.resyncBytes[ev.array]
-		dur := sim.Time(float64(bytes) / (rt.c.ResyncMBps * 1e6) * float64(sim.Second))
+		dur := rebuild.PaceInterval(bytes, rt.c.ResyncMBps)
 		f := &rt.faults[ev.fault]
 		f.ResyncBytes = bytes
 		f.ResyncMs = float64(dur) / float64(sim.Millisecond)
@@ -697,7 +697,7 @@ func (rt *router) startJob(v *volState, kind, from, to int, bytes int64, mirror 
 	}
 	chunk := copyChunk(bytes)
 	chunks := (bytes + chunk - 1) / chunk
-	interval := rebuild.PaceInterval(int(chunk), mbps)
+	interval := rebuild.PaceInterval(chunk, mbps)
 	job := &copyJob{
 		id: len(rt.jobs), vol: v, kind: kind, from: from, to: to,
 		start: now, cutoverAt: now + sim.Time(chunks)*interval,

@@ -61,30 +61,13 @@ func chaosScenarios() []chaosScenario {
 
 // chaosConfig assembles the fleet configuration for one cell.
 func chaosConfig(o Options, sc chaosScenario, replicate bool) cluster.Config {
-	perTenant := o.maxRequests() / chaosTenants
-	if perTenant < 40 {
-		perTenant = 40
-	}
-	profiles := []string{"Fin1", "hm_0", "HPC_W", "prxy_0"}
-	qos := []cluster.QoS{cluster.Gold, cluster.Silver, cluster.Bronze}
-	tenants := make([]cluster.Tenant, chaosTenants)
-	for i := range tenants {
-		tenants[i] = cluster.Tenant{
-			Name:         fmt.Sprintf("t%02d", i),
-			Profile:      profiles[i%len(profiles)],
-			QoS:          qos[i%len(qos)],
-			Requests:     perTenant,
-			ArrivalScale: 1 + 0.25*float64(i%3),
-			Volumes:      1 + i%2,
-		}
-	}
 	return cluster.Config{
 		Arrays:          chaosArrays,
 		Policy:          cluster.PolicySteering,
 		Workers:         o.workers(),
 		Seed:            o.Seed,
 		Base:            o.base(),
-		Tenants:         tenants,
+		Tenants:         tenants(o, chaosTenants, []string{"Fin1", "hm_0", "HPC_W", "prxy_0"}, 1),
 		ReplicateWrites: replicate,
 		ReplicaLinkUs:   50,
 		// No deadline — availability is the fraction of requests answered at

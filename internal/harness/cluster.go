@@ -62,27 +62,31 @@ func clusterScenarios() []clusterScenario {
 	}
 }
 
+// tenants builds a fleet grid's n tenants, splitting the request budget
+// evenly (at least 40 each). Profiles and QoS classes go round-robin, the
+// arrival scale steps scale·(1, 1.25, 1.5), and every other tenant owns
+// two volumes.
+func tenants(o Options, n int, profiles []string, scale float64) []cluster.Tenant {
+	qos := []cluster.QoS{cluster.Gold, cluster.Silver, cluster.Bronze}
+	out := make([]cluster.Tenant, n)
+	for i := range out {
+		out[i] = cluster.Tenant{
+			Name:         fmt.Sprintf("t%02d", i),
+			Profile:      profiles[i%len(profiles)],
+			QoS:          qos[i%len(qos)],
+			Requests:     max(40, o.maxRequests()/n),
+			ArrivalScale: scale * (1 + 0.25*float64(i%3)),
+			Volumes:      1 + i%2,
+		}
+	}
+	return out
+}
+
 // clusterConfig assembles the fleet configuration for one cell.
 func clusterConfig(o Options, sc clusterScenario, policy cluster.Policy) cluster.Config {
 	base := o.base()
 	if sc.lgc {
 		base.Scheme = gcsteering.SchemeLGC
-	}
-	perTenant := o.maxRequests() / clusterTenants
-	if perTenant < 40 {
-		perTenant = 40
-	}
-	qos := []cluster.QoS{cluster.Gold, cluster.Silver, cluster.Bronze}
-	tenants := make([]cluster.Tenant, clusterTenants)
-	for i := range tenants {
-		tenants[i] = cluster.Tenant{
-			Name:         fmt.Sprintf("t%02d", i),
-			Profile:      sc.profiles[i%len(sc.profiles)],
-			QoS:          qos[i%len(qos)],
-			Requests:     perTenant,
-			ArrivalScale: sc.scale * (1 + 0.25*float64(i%3)),
-			Volumes:      1 + i%2,
-		}
 	}
 	return cluster.Config{
 		Arrays:      clusterArrays,
@@ -90,7 +94,7 @@ func clusterConfig(o Options, sc clusterScenario, policy cluster.Policy) cluster
 		Workers:     o.workers(),
 		Seed:        o.Seed,
 		Base:        base,
-		Tenants:     tenants,
+		Tenants:     tenants(o, clusterTenants, sc.profiles, sc.scale),
 		FaultArrays: sc.faults,
 		Fault:       sc.plan,
 	}

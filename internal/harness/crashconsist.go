@@ -35,6 +35,26 @@ func crashScenarios() []crashScenario {
 	}
 }
 
+// plan cuts power just after the cutFrac-th arrival, when stripe writes
+// are in flight. In the rebuild regime it first fails a member at the
+// 10%-request arrival, with the rebuild paced to span roughly half the
+// trace (the faults grid's sizing rule), so the cut interrupts it
+// mid-flight.
+func (sc crashScenario) plan(c *gcsteering.Config, tr gcsteering.Trace) {
+	arrivalMs := func(frac float64) float64 {
+		return tr[int(float64(len(tr)-1)*frac)].Timestamp.Seconds() * 1000
+	}
+	c.PowerLossAtMs = arrivalMs(sc.cutFrac) + 0.2
+	if sc.rebuild {
+		c.Fault = gcsteering.FaultPlan{
+			Failures:      []gcsteering.DiskFault{{Disk: 2, AtMs: arrivalMs(0.10)}},
+			RepairDelayMs: 5,
+			RebuildMBps:   rebuildBandwidthMBps(c.Capacity(), c.Disks, traceSeconds(tr)*0.45),
+			RebuildTarget: gcsteering.RebuildToSpare,
+		}
+	}
+}
+
 // CrashConsist runs the crash-consistency grid: three crash regimes ×
 // {journal, no-journal} on the baseline LGC array (the steering staging
 // region is volatile, so crash runs exercise the plain local-GC scheme).
@@ -43,83 +63,32 @@ func crashScenarios() []crashScenario {
 // array, zero inconsistency left behind either way — but the unjournaled
 // array serves during its full-array walk, the window the journal closes.
 func CrashConsist(o Options) (*Grid, error) {
-	scenarios := crashScenarios()
-	variants := []string{"journal", "no-journal"}
-	workloads := make([]string, len(scenarios))
-	for i, sc := range scenarios {
-		workloads[i] = sc.name
+	scenarios := make(map[string]crashScenario)
+	var rows []string
+	for _, sc := range crashScenarios() {
+		scenarios[sc.name] = sc
+		rows = append(rows, sc.name)
 	}
+	vs := []variant{{"journal", func(c *gcsteering.Config) { c.IntentJournal = true }}, {"no-journal", unchanged}}
 	g := newGrid("Crash consistency: power loss mid-write, intent journal vs full-scrub remount",
-		workloads, variants)
-
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, sc := range scenarios {
-		for _, journal := range []bool{true, false} {
-			sc, journal := sc, journal
-			variant := variants[1]
-			if journal {
-				variant = variants[0]
-			}
-			cfg := o.base()
-			cfg.Scheme = gcsteering.SchemeLGC
-			cfg.IntentJournal = journal
-			if sc.rebuild {
-				cfg.ReservedFrac = 0.30
-			}
-			jobs = append(jobs, cellJob{
-				cell: Cell{sc.name, variant},
-				run: func() (any, error) {
-					sys, err := memo.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					tr, err := sys.GenerateWorkload(sc.workload, o.maxRequests())
-					if err != nil {
-						return nil, err
-					}
-					dur := tr[len(tr)-1].Timestamp.Seconds()
-					cut := tr[int(float64(len(tr)-1)*sc.cutFrac)].Timestamp
-					cfg := cfg
-					cfg.PowerLossAtMs = cut.Seconds()*1000 + 0.2
-					if sc.rebuild {
-						// Fail a member at the 10%-request arrival (so it
-						// precedes the cut) with the rebuild paced to span
-						// roughly half the trace, so the cut interrupts it
-						// mid-flight (the faults grid's sizing rule).
-						failAt := tr[int(float64(len(tr)-1)*0.10)].Timestamp
-						diskBytes := float64(sys.Capacity()) / float64(cfg.Disks-1)
-						cfg.Fault = gcsteering.FaultPlan{
-							Failures:      []gcsteering.DiskFault{{Disk: 2, AtMs: failAt.Seconds() * 1000}},
-							RepairDelayMs: 5,
-							RebuildMBps:   diskBytes / 1e6 / (dur * 0.45),
-							RebuildTarget: gcsteering.RebuildToSpare,
-						}
-					}
-					sys, err = memo.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					return sys.Replay(tr)
-				},
-				post: func(c Cell, payload any) {
-					r := payload.(*gcsteering.Results)
-					cr := r.Crash
-					g.Mean[c] = r.Latency.Mean / 1e3
-					g.addAux("inconsistent stripes", c, float64(cr.InconsistentStripes))
-					g.addAux("resync found", c, float64(cr.ResyncFound))
-					g.addAux("dirty stripes (journal scope)", c, float64(cr.DirtyStripes))
-					g.addAux("torn pages", c, float64(cr.TornPages))
-					g.addAux("resync stripes walked", c, float64(cr.ResyncStripesWalked))
-					g.addAux("resync time (ms)", c, cr.ResyncDuration.Seconds()*1000)
-					g.addAux("post-crash p99 (µs)", c, float64(r.Latency.P99)/1e3)
-					g.addAux("in-flight lost", c, float64(cr.InFlightLost))
-				},
-			})
+		rows, names(vs))
+	run := func(memo *gcsteering.Warmup, cfg gcsteering.Config, row string) (*gcsteering.Results, error) {
+		sc := scenarios[row]
+		if sc.rebuild {
+			reserveForRebuild(&cfg)
 		}
+		return replay(memo, cfg, sc.workload, o.maxRequests(), sc.plan)
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return runGrid(o, g, vs, lgc.set, run, func(c Cell, r *gcsteering.Results) {
+		cr := r.Crash
+		g.Mean[c] = r.Latency.Mean / 1e3
+		g.addAux("inconsistent stripes", c, float64(cr.InconsistentStripes))
+		g.addAux("resync found", c, float64(cr.ResyncFound))
+		g.addAux("dirty stripes (journal scope)", c, float64(cr.DirtyStripes))
+		g.addAux("torn pages", c, float64(cr.TornPages))
+		g.addAux("resync stripes walked", c, float64(cr.ResyncStripesWalked))
+		g.addAux("resync time (ms)", c, cr.ResyncDuration.Seconds()*1000)
+		g.addAux("post-crash p99 (µs)", c, float64(r.Latency.P99)/1e3)
+		g.addAux("in-flight lost", c, float64(cr.InFlightLost))
+	})
 }

@@ -194,17 +194,16 @@ func TestTraceDeterministic(t *testing.T) {
 
 func TestRebuildBandwidthMBps(t *testing.T) {
 	const capacity = int64(1 << 30) // 1 GiB across the array
-	if _, err := rebuildBandwidthMBps(capacity, 5, nil); err == nil {
-		t.Error("empty trace must be an error, not a zero-duration division")
-	}
-
-	// A degenerate trace whose last arrival is at t=0 used to divide by
-	// zero and request +Inf MB/s from the rebuilder.
+	// Degenerate traces — none at all, or a last arrival at t=0 — used to
+	// divide by zero and request +Inf MB/s from the rebuilder; their span
+	// is floored instead.
 	zero := gcsteering.Trace{{Timestamp: 0, Offset: 0, Size: 4096}}
-	bw, err := rebuildBandwidthMBps(capacity, 5, zero)
-	if err != nil {
-		t.Fatalf("t=0 trace: %v", err)
+	for _, tr := range []gcsteering.Trace{nil, zero} {
+		if got := traceSeconds(tr); got != minTraceSeconds {
+			t.Fatalf("traceSeconds(%d records at t=0) = %v, want the %v floor", len(tr), got, minTraceSeconds)
+		}
 	}
+	bw := rebuildBandwidthMBps(capacity, 5, traceSeconds(zero))
 	if math.IsInf(bw, 0) || math.IsNaN(bw) || bw <= 0 {
 		t.Fatalf("t=0 trace: bandwidth = %v, want finite positive", bw)
 	}
@@ -215,10 +214,10 @@ func TestRebuildBandwidthMBps(t *testing.T) {
 		{Timestamp: 0, Offset: 0, Size: 4096},
 		{Timestamp: 2_000_000_000, Offset: 4096, Size: 4096}, // 2 s
 	}
-	bw, err = rebuildBandwidthMBps(capacity, 5, tr)
-	if err != nil {
-		t.Fatal(err)
+	if got := traceSeconds(tr); got != 2 {
+		t.Fatalf("traceSeconds = %v, want 2", got)
 	}
+	bw = rebuildBandwidthMBps(capacity, 5, traceSeconds(tr))
 	want := float64(capacity) / 4 / 1e6 / 2
 	if math.Abs(bw-want) > 1e-9 {
 		t.Fatalf("bandwidth = %v, want %v", bw, want)

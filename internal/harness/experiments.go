@@ -10,17 +10,39 @@ import (
 	"gcsteering/internal/workload"
 )
 
-// schemes used across the figures, in the paper's order.
-var schemeVariants = []struct {
+// variant is one column of an experiment grid: its name and the change it
+// makes to the cell's Config.
+type variant struct {
 	name string
 	set  func(*gcsteering.Config)
-}{
-	{"LGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeLGC }},
-	{"GGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeGGC }},
-	{"GC-Steering", func(c *gcsteering.Config) {
+}
+
+// unchanged is the set of a grid's baseline column.
+func unchanged(*gcsteering.Config) {}
+
+// lgc and ggc are the baseline scheme columns.
+var (
+	lgc = variant{"LGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeLGC }}
+	ggc = variant{"GGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeGGC }}
+)
+
+// steering is a GC-Steering column over the given staging space.
+func steering(name string, staging gcsteering.StagingKind) variant {
+	return variant{name, func(c *gcsteering.Config) {
 		c.Scheme = gcsteering.SchemeSteering
-		c.Staging = gcsteering.StagingReserved
-	}},
+		c.Staging = staging
+	}}
+}
+
+// schemeVariants are the schemes the figures compare, in the paper's order.
+var schemeVariants = []variant{lgc, ggc, steering("GC-Steering", gcsteering.StagingReserved)}
+
+func names(vs []variant) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = v.name
+	}
+	return out
 }
 
 // allWorkloads is the paper's Table I order.
@@ -31,20 +53,111 @@ func fig8Workloads() []string {
 	return []string{"HPC_W", "HPC_R", "Fin1", "hm_0", "prxy_0"}
 }
 
-// replayCell builds a system through the grid's warm-up memo (with the
-// given extra seed shift), synthesizes the workload sized to its capacity,
-// and replays it.
-func replayCell(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string, maxReq int, seedShift int64) (*gcsteering.Results, error) {
-	cfg.Seed += seedShift
+// plan fills in the fields of a cell's Config that depend on its trace:
+// fault instants, bandwidth caps, the power-cut instant.
+type plan func(*gcsteering.Config, gcsteering.Trace)
+
+// replay runs one harness cell: it generates the workload's trace from
+// cfg, lets p (when non-nil) fill in the trace-dependent fields, then
+// builds the system once through the grid's warm-up memo and replays the
+// trace on it.
+func replay(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string, maxReq int, p plan) (*gcsteering.Results, error) {
+	tr, err := cfg.GenerateWorkload(wl, maxReq)
+	if err != nil {
+		return nil, err
+	}
+	if p != nil {
+		p(&cfg, tr)
+	}
 	sys, err := memo.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := sys.GenerateWorkload(wl, maxReq)
-	if err != nil {
+	return sys.Replay(tr)
+}
+
+// cellRun runs one grid cell on its Config through the grid's memo.
+type cellRun[T any] func(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string) (T, error)
+
+// single runs a cell as one replay under p.
+func single(o Options, p plan) cellRun[*gcsteering.Results] {
+	return func(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string) (*gcsteering.Results, error) {
+		return replay(memo, cfg, wl, o.maxRequests(), p)
+	}
+}
+
+// averaged runs a cell as o.repeats() replays under p, the seed stepping
+// by 1000 per repeat, and averages them.
+func averaged(o Options, p plan) cellRun[*AvgResults] {
+	return func(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string) (*AvgResults, error) {
+		avg := &AvgResults{}
+		for i := range o.repeats() {
+			c := cfg
+			c.Seed += int64(i) * 1000
+			r, err := replay(memo, c, wl, o.maxRequests(), p)
+			if err != nil {
+				return nil, err
+			}
+			avg.add(r)
+		}
+		return avg, nil
+	}
+}
+
+// runGrid runs every workload × variant cell of g on the worker pool. A
+// cell's Config is o's base, then setup, then the variant's set; run replays it through the grid's one warm-up memo, and post
+// records its result into g from a single goroutine.
+func runGrid[T any](o Options, g *Grid, vs []variant, setup func(*gcsteering.Config), run cellRun[T], post func(Cell, T)) (*Grid, error) {
+	memo := new(gcsteering.Warmup)
+	var jobs []cellJob
+	for _, w := range g.Workloads {
+		for _, v := range vs {
+			cfg := o.base()
+			setup(&cfg)
+			v.set(&cfg)
+			jobs = append(jobs, cellJob{
+				cell: Cell{w, v.name},
+				run:  func() (any, error) { return run(memo, cfg, w) },
+				post: func(c Cell, r any) { post(c, r.(T)) },
+			})
+		}
+	}
+	if err := runCells(jobs, o.workers()); err != nil {
 		return nil, err
 	}
-	return sys.Replay(tr)
+	return g, nil
+}
+
+// steer runs every cell of a sensitivity grid under GC-Steering.
+func steer(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeSteering }
+
+// reserveForRebuild provisions reserved space large enough to hold a
+// failed member's contents for the parallel reconstruction workflow. The
+// rebuild grids apply it to every scheme, keeping the array geometry
+// identical across variants.
+func reserveForRebuild(c *gcsteering.Config) { c.ReservedFrac = 0.30 }
+
+// minTraceSeconds floors a trace's duration, so degenerate traces (a
+// single request, or every arrival stamped t=0) still size finite — if
+// very high — bandwidth caps instead of +Inf.
+const minTraceSeconds = 1e-3
+
+// traceSeconds is the trace's duration (its last arrival) in seconds,
+// floored at minTraceSeconds. The fault grids place their fault instants
+// and size their bandwidth caps as fractions of it.
+func traceSeconds(tr gcsteering.Trace) float64 {
+	if len(tr) == 0 {
+		return minTraceSeconds
+	}
+	return max(tr[len(tr)-1].Timestamp.Seconds(), minTraceSeconds)
+}
+
+// rebuildBandwidthMBps computes the rebuild bandwidth cap (MB/s) that makes
+// reconstructing one member of a disks-wide array with the given total
+// logical capacity take the given number of seconds.
+func rebuildBandwidthMBps(capacityBytes int64, disks int, seconds float64) float64 {
+	diskBytes := float64(capacityBytes) / float64(disks-1)
+	return diskBytes / 1e6 / seconds
 }
 
 // Table1 regenerates the trace-characteristics table: for each profile it
@@ -111,40 +224,20 @@ func Fig2(o Options) (string, error) {
 // normalized to LGC.
 func Fig7(o Options) (*Grid, error) {
 	g := newGrid("Figure 7: LGC vs GGC vs GC-Steering (RAID5, 5 SSDs, 64KB unit)",
-		allWorkloads(), variantNames())
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, v := range schemeVariants {
-			w, v := w, v
-			cfg := o.base()
-			v.set(&cfg)
-			jobs = append(jobs, replayJob(Cell{w, v.name}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) {
-					return replayCell(memo, cfg, w, o.maxRequests(), shift)
-				},
-				func(c Cell, r *AvgResults) {
-					g.Mean[c] = r.MeanNs / 1e3
-					g.addAux("GC count (episodes)", c, r.GCEpisodes)
-					g.addAux("p99 response time (µs)", c, r.P99Ns/1e3)
-					if c.Variant == "GC-Steering" {
-						g.addAux("redirect ratio (%)", c, 100*r.Redirect)
-					}
-				}))
+		allWorkloads(), names(schemeVariants))
+	return runGrid(o, g, schemeVariants, unchanged, averaged(o, nil), func(c Cell, r *AvgResults) {
+		g.Mean[c] = r.MeanNs / 1e3
+		g.addAux("GC count (episodes)", c, r.GCEpisodes)
+		g.addAux("p99 response time (µs)", c, r.P99Ns/1e3)
+		if c.Variant == "GC-Steering" {
+			g.addAux("redirect ratio (%)", c, 100*r.Redirect)
 		}
-	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	})
 }
 
-func variantNames() []string {
-	out := make([]string, len(schemeVariants))
-	for i, v := range schemeVariants {
-		out[i] = v.name
-	}
-	return out
+// recordMean records a sensitivity cell's averaged mean response time.
+func recordMean(g *Grid) func(Cell, *AvgResults) {
+	return func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }
 }
 
 // Fig8 regenerates the number-of-SSDs sensitivity study: GC-Steering on
@@ -152,99 +245,40 @@ func variantNames() []string {
 // trace (sized to the smaller array) so the comparison isolates the disk
 // count.
 func Fig8(o Options) (*Grid, error) {
-	g := newGrid("Figure 8: impact of the number of SSDs (GC-Steering)",
-		fig8Workloads(), []string{"5 SSDs", "7 SSDs"})
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, disks := range []int{5, 7} {
-			w, disks := w, disks
-			cfg := o.base()
-			cfg.Scheme = gcsteering.SchemeSteering
-			cfg.Disks = disks
-			jobs = append(jobs, replayJob(Cell{w, fmt.Sprintf("%d SSDs", disks)}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) {
-					cfg := cfg
-					cfg.Seed += shift
-					small := cfg
-					small.Disks = 5
-					ref, err := memo.New(small)
-					if err != nil {
-						return nil, err
-					}
-					tr, err := ref.GenerateWorkload(w, o.maxRequests())
-					if err != nil {
-						return nil, err
-					}
-					sys, err := memo.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					return sys.Replay(tr)
-				},
-				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
-		}
+	var vs []variant
+	for _, disks := range []int{5, 7} {
+		vs = append(vs, variant{fmt.Sprintf("%d SSDs", disks), func(c *gcsteering.Config) { c.Disks = disks }})
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
+	g := newGrid("Figure 8: impact of the number of SSDs (GC-Steering)", fig8Workloads(), names(vs))
+	run := func(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string) (*AvgResults, error) {
+		// Generate the trace at 5 disks, then build the cell's array.
+		disks := cfg.Disks
+		cfg.Disks = 5
+		return averaged(o, func(c *gcsteering.Config, _ gcsteering.Trace) { c.Disks = disks })(memo, cfg, wl)
 	}
-	return g, nil
+	return runGrid(o, g, vs, steer, run, recordMean(g))
 }
 
 // Fig9 regenerates the stripe-unit-size sensitivity study: 4 KB, 64 KB and
 // 128 KB units under GC-Steering.
 func Fig9(o Options) (*Grid, error) {
-	sizes := []int{4, 64, 128}
-	variants := make([]string, len(sizes))
-	for i, s := range sizes {
-		variants[i] = fmt.Sprintf("%dKB", s)
+	var vs []variant
+	for _, kb := range []int{4, 64, 128} {
+		vs = append(vs, variant{fmt.Sprintf("%dKB", kb), func(c *gcsteering.Config) { c.StripeUnitKB = kb }})
 	}
-	g := newGrid("Figure 9: impact of the stripe unit size (GC-Steering)", fig8Workloads(), variants)
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for i, size := range sizes {
-			w, size, variant := w, size, variants[i]
-			cfg := o.base()
-			cfg.Scheme = gcsteering.SchemeSteering
-			cfg.StripeUnitKB = size
-			jobs = append(jobs, replayJob(Cell{w, variant}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) {
-					return replayCell(memo, cfg, w, o.maxRequests(), shift)
-				},
-				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
-		}
-	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	g := newGrid("Figure 9: impact of the stripe unit size (GC-Steering)", fig8Workloads(), names(vs))
+	return runGrid(o, g, vs, steer, averaged(o, nil), recordMean(g))
 }
 
 // Fig10 regenerates the staging-space design-choice study: reserved space
 // of each SSD vs a dedicated spare SSD.
 func Fig10(o Options) (*Grid, error) {
-	g := newGrid("Figure 10: impact of the staging space (GC-Steering)",
-		fig8Workloads(), []string{"Reserved", "Dedicated"})
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, staging := range []gcsteering.StagingKind{gcsteering.StagingReserved, gcsteering.StagingDedicated} {
-			w, staging := w, staging
-			cfg := o.base()
-			cfg.Scheme = gcsteering.SchemeSteering
-			cfg.Staging = staging
-			jobs = append(jobs, replayJob(Cell{w, staging.String()}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) {
-					return replayCell(memo, cfg, w, o.maxRequests(), shift)
-				},
-				func(c Cell, r *AvgResults) { g.Mean[c] = r.MeanNs / 1e3 }))
-		}
+	vs := []variant{
+		steering(gcsteering.StagingReserved.String(), gcsteering.StagingReserved),
+		steering(gcsteering.StagingDedicated.String(), gcsteering.StagingDedicated),
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	g := newGrid("Figure 10: impact of the staging space (GC-Steering)", fig8Workloads(), names(vs))
+	return runGrid(o, g, vs, unchanged, averaged(o, nil), recordMean(g))
 }
 
 // Fig11 regenerates the reconstruction study: the mean user response time
@@ -255,101 +289,46 @@ func Fig10(o Options) (*Grid, error) {
 // fault plan failing disk 2 at time zero; the baselines rebuild onto a
 // spare, GC-Steering into its staging space (§III-D case ②).
 func Fig11(o Options) (*Grid, error) {
-	type variant struct {
-		name   string
-		set    func(*gcsteering.Config)
-		target gcsteering.RebuildTarget
-	}
-	variants := []variant{
-		{"LGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeLGC }, gcsteering.RebuildToSpare},
-		{"GGC", func(c *gcsteering.Config) { c.Scheme = gcsteering.SchemeGGC }, gcsteering.RebuildToSpare},
-		{"GC-Steering(Reserved)", func(c *gcsteering.Config) {
-			c.Scheme = gcsteering.SchemeSteering
-			c.Staging = gcsteering.StagingReserved
-		}, gcsteering.RebuildToStaging},
-		{"GC-Steering(Dedicated)", func(c *gcsteering.Config) {
-			c.Scheme = gcsteering.SchemeSteering
-			c.Staging = gcsteering.StagingDedicated
-		}, gcsteering.RebuildToStaging},
-	}
-	names := make([]string, len(variants))
-	for i, v := range variants {
-		names[i] = v.name
-	}
+	vs := []variant{lgc, ggc,
+		steering("GC-Steering(Reserved)", gcsteering.StagingReserved),
+		steering("GC-Steering(Dedicated)", gcsteering.StagingDedicated)}
 	g := newGrid("Figure 11: response time during RAID reconstruction, normalized to the no-rebuild state",
-		fig8Workloads(), names)
-
-	// Two runs per cell: normal and during-rebuild; the grid's primary
-	// metric is the during-rebuild mean; the ratio goes in Aux.
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, v := range variants {
-			w, v := w, v
-			cfg := o.base()
-			// The reserved space must be able to hold a failed member's
-			// contents for the parallel reconstruction workflow, so this
-			// experiment provisions a larger reservation (for every scheme,
-			// keeping the array geometry identical across variants).
-			cfg.ReservedFrac = 0.30
-			v.set(&cfg)
-			jobs = append(jobs, cellJob{
-				cell: Cell{w, v.name},
-				run: func() (any, error) {
-					normalSys, err := memo.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					tr, err := normalSys.GenerateWorkload(w, o.maxRequests())
-					if err != nil {
-						return nil, err
-					}
-					normal, err := normalSys.Replay(tr)
-					if err != nil {
-						return nil, err
-					}
-					// The paper rebuilds a 120 GB SSD at 10 MB/s — several
-					// hours, longer than the one-hour traces, so recovery is
-					// under way for the entire replay. Scale the bandwidth
-					// cap so the simulated rebuild likewise spans the trace.
-					bw, err := rebuildBandwidthMBps(normalSys.Capacity(), cfg.Disks, tr)
-					if err != nil {
-						return nil, err
-					}
-					cfg := cfg
-					cfg.Fault = gcsteering.FaultPlan{
-						Failures:      []gcsteering.DiskFault{{Disk: 2, AtMs: 0}},
-						RebuildMBps:   bw,
-						RebuildTarget: v.target,
-					}
-					rebSys, err := memo.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					reb, err := rebSys.Replay(tr)
-					if err != nil {
-						return nil, err
-					}
-					return rebuildPair{normal: normal, rebuild: reb}, nil
-				},
-				post: func(c Cell, payload any) {
-					// The degraded-phase latency covers exactly the requests
-					// that arrived while the reconstruction was under way.
-					pair := payload.(rebuildPair)
-					during := pair.rebuild.Fault.DegradedLatency.Mean
-					g.Mean[c] = during / 1e3
-					if pair.normal.Latency.Mean > 0 {
-						g.addAux("normalized to normal state", c, during/pair.normal.Latency.Mean)
-					}
-					g.addAux("rebuild duration (s)", c, pair.rebuild.Fault.RebuildTime.Seconds())
-				},
-			})
+		fig8Workloads(), names(vs))
+	rebuild := func(c *gcsteering.Config, tr gcsteering.Trace) {
+		target := gcsteering.RebuildToSpare
+		if c.Scheme == gcsteering.SchemeSteering {
+			target = gcsteering.RebuildToStaging
+		}
+		// The paper rebuilds a 120 GB SSD at 10 MB/s — several hours,
+		// longer than the one-hour traces, so recovery is under way for the
+		// entire replay. Scale the bandwidth cap so the simulated rebuild
+		// likewise spans the trace.
+		c.Fault = gcsteering.FaultPlan{
+			Failures:      []gcsteering.DiskFault{{Disk: 2, AtMs: 0}},
+			RebuildMBps:   rebuildBandwidthMBps(c.Capacity(), c.Disks, traceSeconds(tr)),
+			RebuildTarget: target,
 		}
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
+	// Two runs per cell: normal and during-rebuild; the grid's primary
+	// metric is the during-rebuild mean; the ratio goes in Aux.
+	run := func(memo *gcsteering.Warmup, cfg gcsteering.Config, wl string) (rebuildPair, error) {
+		normal, err := replay(memo, cfg, wl, o.maxRequests(), nil)
+		if err != nil {
+			return rebuildPair{}, err
+		}
+		reb, err := replay(memo, cfg, wl, o.maxRequests(), rebuild)
+		return rebuildPair{normal: normal, rebuild: reb}, err
 	}
-	return g, nil
+	return runGrid(o, g, vs, reserveForRebuild, run, func(c Cell, pair rebuildPair) {
+		// The degraded-phase latency covers exactly the requests that
+		// arrived while the reconstruction was under way.
+		during := pair.rebuild.Fault.DegradedLatency.Mean
+		g.Mean[c] = during / 1e3
+		if pair.normal.Latency.Mean > 0 {
+			g.addAux("normalized to normal state", c, during/pair.normal.Latency.Mean)
+		}
+		g.addAux("rebuild duration (s)", c, pair.rebuild.Fault.RebuildTime.Seconds())
+	})
 }
 
 // rebuildPair carries the two runs of one Fig. 11 cell.
@@ -358,56 +337,19 @@ type rebuildPair struct {
 	rebuild *gcsteering.Results
 }
 
-// minRebuildTraceSeconds floors the trace duration used to scale the
-// rebuild bandwidth, so degenerate traces (a single request, or every
-// arrival stamped t=0) yield a finite — if very high — bandwidth cap
-// instead of +Inf.
-const minRebuildTraceSeconds = 1e-3
-
-// rebuildBandwidthMBps computes the rebuild bandwidth cap (MB/s) that makes
-// reconstructing one member of a disks-wide array with the given total
-// logical capacity span the trace's duration. An empty trace has no
-// duration to span and is an error.
-func rebuildBandwidthMBps(capacityBytes int64, disks int, tr gcsteering.Trace) (float64, error) {
-	if len(tr) == 0 {
-		return 0, fmt.Errorf("rebuild bandwidth: empty trace has no duration to scale against")
-	}
-	dur := tr[len(tr)-1].Timestamp.Seconds()
-	if dur < minRebuildTraceSeconds {
-		dur = minRebuildTraceSeconds
-	}
-	diskBytes := float64(capacityBytes) / float64(disks-1)
-	return diskBytes / 1e6 / dur, nil
-}
-
 // RAID6 exercises the paper's future-work direction: the same scheme
 // comparison on a RAID6 array (6 SSDs, double parity).
 func RAID6(o Options) (*Grid, error) {
 	g := newGrid("Extension: LGC vs GGC vs GC-Steering on RAID6 (6 SSDs, 64KB unit)",
-		[]string{"HPC_W", "Fin1", "prxy_0"}, variantNames())
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, v := range schemeVariants {
-			w, v := w, v
-			cfg := o.base()
-			cfg.Level = gcsteering.RAID6
-			cfg.Disks = 6
-			v.set(&cfg)
-			jobs = append(jobs, replayJob(Cell{w, v.name}, o.repeats(),
-				func(shift int64) (*gcsteering.Results, error) {
-					return replayCell(memo, cfg, w, o.maxRequests(), shift)
-				},
-				func(c Cell, r *AvgResults) {
-					g.Mean[c] = r.MeanNs / 1e3
-					g.addAux("GC count (episodes)", c, r.GCEpisodes)
-				}))
-		}
+		[]string{"HPC_W", "Fin1", "prxy_0"}, names(schemeVariants))
+	raid6 := func(c *gcsteering.Config) {
+		c.Level = gcsteering.RAID6
+		c.Disks = 6
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return runGrid(o, g, schemeVariants, raid6, averaged(o, nil), func(c Cell, r *AvgResults) {
+		g.Mean[c] = r.MeanNs / 1e3
+		g.addAux("GC count (episodes)", c, r.GCEpisodes)
+	})
 }
 
 // Fig1 reproduces the paper's Figure 1 motivation: the response-time
@@ -437,7 +379,7 @@ func Fig1(o Options) (string, error) {
 		if cfg.Trace.Enabled() {
 			cfg.Trace.RunStart(0, "fig1/"+v.name)
 		}
-		res, err := replayCell(memo, cfg, "HPC_W", o.maxRequests(), 0)
+		res, err := replay(memo, cfg, "HPC_W", o.maxRequests(), nil)
 		if err != nil {
 			return "", err
 		}
@@ -468,7 +410,7 @@ func Endurance(o Options) (string, error) {
 	for _, v := range schemeVariants {
 		cfg := o.base()
 		v.set(&cfg)
-		res, err := replayCell(memo, cfg, "prxy_0", o.maxRequests(), 0)
+		res, err := replay(memo, cfg, "prxy_0", o.maxRequests(), nil)
 		if err != nil {
 			return "", err
 		}

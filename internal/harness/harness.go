@@ -32,9 +32,12 @@ type Options struct {
 	Workers int
 	// Seed offsets all cell seeds for replication studies.
 	Seed int64
-	// Repeats averages each cell over this many seeds (0 = 1). The paper's
-	// normalized bars are single measurements; averaging tames the
-	// simulator's run-to-run variance.
+	// Repeats averages each cell over this many seeds (0 = 1) in the fig7a,
+	// fig8, fig9, fig10 and raid6 grids only. Every other experiment —
+	// faults, scrub, failslow, crashconsist, fig11, cluster, chaos and the
+	// text reports — runs once and ignores it. The paper's normalized bars
+	// are single measurements; averaging tames the simulator's run-to-run
+	// variance.
 	Repeats int
 	// Base overrides the per-cell base configuration (nil = BaseConfig).
 	Base func() gcsteering.Config
@@ -257,26 +260,6 @@ type cellJob struct {
 	cell Cell
 	run  func() (any, error)
 	post func(c Cell, payload any)
-}
-
-// replayJob adapts the common case: `repeats` replays with shifted seeds
-// whose averaged *gcsteering.Results feed the grid.
-func replayJob(c Cell, repeats int, run func(seedShift int64) (*gcsteering.Results, error), post func(Cell, *AvgResults)) cellJob {
-	return cellJob{
-		cell: c,
-		run: func() (any, error) {
-			avg := &AvgResults{}
-			for i := 0; i < repeats; i++ {
-				r, err := run(int64(i) * 1000)
-				if err != nil {
-					return nil, err
-				}
-				avg.add(r)
-			}
-			return avg, nil
-		},
-		post: func(c Cell, payload any) { post(c, payload.(*AvgResults)) },
-	}
 }
 
 // AvgResults accumulates per-seed results of one cell.

@@ -75,7 +75,6 @@ func TestRunCellsParallelAndErrors(t *testing.T) {
 	results := make([]int, 0, n)
 	var jobs []cellJob
 	for i := 0; i < n; i++ {
-		i := i
 		jobs = append(jobs, cellJob{
 			cell: Cell{Workload: "w", Variant: "v"},
 			run:  func() (any, error) { return i, nil },

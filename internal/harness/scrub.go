@@ -21,96 +21,49 @@ import (
 // every URE comes from the deterministic seeded defect sets and the
 // scrub/no-scrub comparison is exact, not statistical.
 func Scrub(o Options) (*Grid, error) {
-	type variant struct {
-		name  string
-		scrub bool
-		hedge bool
-	}
-	variants := []variant{
-		{"baseline", false, false},
-		{"scrub", true, false},
-		{"hedge", false, true},
-		{"scrub+hedge", true, true},
-	}
-	names := make([]string, len(variants))
-	for i, v := range variants {
-		names[i] = v.name
-	}
-	workloads := []string{"HPC_R", "Fin1", "hm_0"}
+	// The scrub columns ask for one patrol pass; its bandwidth cap is
+	// sized from the trace below.
+	scrub := func(c *gcsteering.Config) { c.ScrubPasses = 1 }
+	hedge := func(c *gcsteering.Config) { c.HedgedReads = true }
+	vs := []variant{{"baseline", unchanged}, {"scrub", scrub}, {"hedge", hedge},
+		{"scrub+hedge", func(c *gcsteering.Config) { scrub(c); hedge(c) }}}
 	g := newGrid("Self-healing: seeded latent/corrupt pages, failure at 50% of the trace, patrol scrub and GC-hedged reads",
-		workloads, names)
-
-	memo := new(gcsteering.Warmup)
-	var jobs []cellJob
-	for _, w := range g.Workloads {
-		for _, v := range variants {
-			w, v := w, v
-			cfg := o.base()
-			// LGC keeps the read path free of steering so the hedge columns
-			// isolate the hedged-read mechanism; checksums verify every read.
-			cfg.Scheme = gcsteering.SchemeLGC
-			cfg.Checksums = true
-			cfg.HedgedReads = v.hedge
-			jobs = append(jobs, cellJob{
-				cell: Cell{w, v.name},
-				run: func() (any, error) {
-					sys, err := memo.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					tr, err := sys.GenerateWorkload(w, o.maxRequests())
-					if err != nil {
-						return nil, err
-					}
-					// Fail disk 2 at 50% of the trace; size the scrub cap so
-					// one full patrol pass (all stripes on all members) lands
-					// inside the first ~40%, and the rebuild cap so the
-					// reconstruction spans roughly 40% of the trace.
-					dur := tr[len(tr)-1].Timestamp.Seconds()
-					failAtMs := dur * 1000 * 0.50
-					diskBytes := float64(sys.Capacity()) / float64(cfg.Disks-1)
-					arrayBytes := diskBytes * float64(cfg.Disks)
-					plan := gcsteering.FaultPlan{
-						Failures:        []gcsteering.DiskFault{{Disk: 2, AtMs: failAtMs}},
-						LatentPageRate:  3e-4,
-						CorruptPageRate: 1e-4,
-						RepairDelayMs:   50,
-						RebuildMBps:     diskBytes / 1e6 / (dur * 0.40),
-						RebuildTarget:   gcsteering.RebuildToSpare,
-					}
-					// The plan and scrub cap need the trace duration and the
-					// capacity; rebuild the system with them set. The trace is
-					// reused — neither knob affects the array geometry.
-					cfg := cfg
-					cfg.Fault = plan
-					if v.scrub {
-						cfg.ScrubMBps = arrayBytes / 1e6 / (dur * 0.35)
-						cfg.ScrubPasses = 1
-					}
-					sys, err = memo.New(cfg)
-					if err != nil {
-						return nil, err
-					}
-					return sys.Replay(tr)
-				},
-				post: func(c Cell, payload any) {
-					r := payload.(*gcsteering.Results)
-					g.Mean[c] = r.Latency.Mean / 1e3
-					g.addAux("rebuild UREs", c, float64(r.Fault.RebuildUREs))
-					g.addAux("data loss events", c, float64(r.Fault.DataLossEvents))
-					g.addAux("gc-phase read p99 (µs)", c, float64(r.Phases.GCRead.P99)/1e3)
-					g.addAux("hedged reads", c, float64(r.Integrity.HedgedReads))
-					g.addAux("hedge recon wins", c, float64(r.Integrity.HedgeReconWins))
-					g.addAux("checksum errors detected", c, float64(r.Integrity.ChecksumErrors))
-					g.addAux("scrub units repaired", c, float64(r.Scrub.UnitsRepaired))
-					g.addAux("scrub pages fixed", c,
-						float64(r.Scrub.LatentPagesRepaired+r.Scrub.CorruptPagesRepaired))
-				},
-			})
+		[]string{"HPC_R", "Fin1", "hm_0"}, names(vs))
+	// LGC keeps the read path free of steering so the hedge columns isolate
+	// the hedged-read mechanism; checksums verify every read.
+	setup := func(c *gcsteering.Config) {
+		c.Scheme = gcsteering.SchemeLGC
+		c.Checksums = true
+	}
+	// Fail disk 2 at 50% of the trace; size the scrub cap so one full
+	// patrol pass (all stripes on all members) lands inside the first ~40%,
+	// and the rebuild cap so the reconstruction spans roughly 40% of the
+	// trace.
+	fail := func(c *gcsteering.Config, tr gcsteering.Trace) {
+		dur := traceSeconds(tr)
+		c.Fault = gcsteering.FaultPlan{
+			Failures:        []gcsteering.DiskFault{{Disk: 2, AtMs: dur * 1000 * 0.50}},
+			LatentPageRate:  3e-4,
+			CorruptPageRate: 1e-4,
+			RepairDelayMs:   50,
+			RebuildMBps:     rebuildBandwidthMBps(c.Capacity(), c.Disks, dur*0.40),
+			RebuildTarget:   gcsteering.RebuildToSpare,
+		}
+		if c.ScrubPasses > 0 {
+			arrayBytes := float64(c.Capacity()) / float64(c.Disks-1) * float64(c.Disks)
+			c.ScrubMBps = arrayBytes / 1e6 / (dur * 0.35)
 		}
 	}
-	if err := runCells(jobs, o.workers()); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return runGrid(o, g, vs, setup, single(o, fail), func(c Cell, r *gcsteering.Results) {
+		g.Mean[c] = r.Latency.Mean / 1e3
+		g.addAux("rebuild UREs", c, float64(r.Fault.RebuildUREs))
+		g.addAux("data loss events", c, float64(r.Fault.DataLossEvents))
+		g.addAux("gc-phase read p99 (µs)", c, float64(r.Phases.GCRead.P99)/1e3)
+		g.addAux("hedged reads", c, float64(r.Integrity.HedgedReads))
+		g.addAux("hedge recon wins", c, float64(r.Integrity.HedgeReconWins))
+		g.addAux("checksum errors detected", c, float64(r.Integrity.ChecksumErrors))
+		g.addAux("scrub units repaired", c, float64(r.Scrub.UnitsRepaired))
+		g.addAux("scrub pages fixed", c,
+			float64(r.Scrub.LatentPagesRepaired+r.Scrub.CorruptPagesRepaired))
+	})
 }

@@ -8,19 +8,39 @@ package rebuild
 
 import (
 	"fmt"
+	"math"
 
 	"gcsteering/internal/obs"
 	"gcsteering/internal/raid"
 	"gcsteering/internal/sim"
 )
 
-// PaceInterval returns the gap between unit-sized transfers that holds a
-// background copy stream to a bandwidth cap: unitBytes at mbps MB/s. It is
+// PaceInterval returns the gap between transfers of the given size that
+// holds a background stream to a bandwidth cap: bytes at mbps MB/s. It is
 // the pacing model of the stripe-sequential rebuild below, shared with the
-// cluster layer's re-replication and volume-migration copy jobs so every
-// bandwidth-capped background stream in the simulator paces identically.
-func PaceInterval(unitBytes int, mbps float64) sim.Time {
-	return sim.Time(float64(unitBytes) / (mbps * 1e6) * float64(sim.Second))
+// patrol scrub, the post-crash resync and the cluster layer's copy jobs and
+// resync so every bandwidth-capped background stream in the simulator
+// paces identically. Gaps saturate at sim.Horizon; CheckPace rejects the
+// caps that would reach it.
+func PaceInterval(bytes int64, mbps float64) sim.Time {
+	return sim.Time(min(paceNs(bytes, mbps), float64(sim.Horizon)))
+}
+
+// CheckPace validates a bandwidth cap (MB/s) for transfers of the given
+// size: it must be finite, and a positive cap must pace them at a gap
+// below sim.Horizon. Caps <= 0 mean "off" or "default" and pass.
+func CheckPace(bytes int64, mbps float64) error {
+	if math.IsNaN(mbps) || math.IsInf(mbps, 0) {
+		return fmt.Errorf("%v MB/s is not finite", mbps)
+	}
+	if mbps > 0 && !(paceNs(bytes, mbps) < float64(sim.Horizon)) {
+		return fmt.Errorf("%v MB/s paces %d-byte transfers past the simulation horizon %v", mbps, bytes, sim.Horizon)
+	}
+	return nil
+}
+
+func paceNs(bytes int64, mbps float64) float64 {
+	return float64(bytes) / (mbps * 1e6) * float64(sim.Second)
 }
 
 // must panics on an I/O error from a member disk: rebuild ranges are
@@ -164,7 +184,7 @@ func New(eng *sim.Engine, arr *raid.Array, sink Sink, bandwidthMBps float64, pag
 		return nil, fmt.Errorf("rebuild: bandwidth %v must be positive", bandwidthMBps)
 	}
 	lay := arr.Layout()
-	interval := PaceInterval(lay.UnitPages*pageSize, bandwidthMBps)
+	interval := PaceInterval(int64(lay.UnitPages*pageSize), bandwidthMBps)
 	return &Rebuilder{
 		eng:      eng,
 		arr:      arr,

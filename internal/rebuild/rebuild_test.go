@@ -237,4 +237,12 @@ func TestPaceInterval(t *testing.T) {
 	if got != want {
 		t.Fatalf("PaceInterval(256KiB, 10MB/s) = %v, want %v", got, want)
 	}
+	// A cap too small for the clock saturates instead of wrapping to a
+	// negative (past) gap; CheckPace is what rejects it up front.
+	if got := PaceInterval(64<<10, 1e-300); got != sim.Horizon {
+		t.Fatalf("PaceInterval(64KiB, 1e-300MB/s) = %v, want sim.Horizon", got)
+	}
+	if CheckPace(64<<10, 1e-300) == nil || CheckPace(64<<10, 10) != nil || CheckPace(64<<10, 0) != nil {
+		t.Fatal("CheckPace must reject only caps that pace past sim.Horizon")
+	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"gcsteering/internal/obs"
 	"gcsteering/internal/raid"
+	"gcsteering/internal/rebuild"
 	"gcsteering/internal/sim"
 )
 
@@ -75,12 +76,10 @@ func NewResync(eng *sim.Engine, arr *raid.Array, mbps float64, pageSize int, str
 		return nil, fmt.Errorf("resync: page size %d must be positive", pageSize)
 	}
 	lay := arr.Layout()
-	stripeBytes := float64(lay.UnitPages * pageSize * lay.Disks)
-	interval := sim.Time(stripeBytes / (mbps * 1e6) * float64(sim.Second))
 	return &Resyncer{
 		eng:      eng,
 		arr:      arr,
-		interval: interval,
+		interval: rebuild.PaceInterval(int64(lay.UnitPages*pageSize*lay.Disks), mbps),
 		stripes:  stripes,
 	}, nil
 }

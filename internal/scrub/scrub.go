@@ -19,6 +19,7 @@ import (
 
 	"gcsteering/internal/obs"
 	"gcsteering/internal/raid"
+	"gcsteering/internal/rebuild"
 	"gcsteering/internal/sim"
 )
 
@@ -152,13 +153,11 @@ func New(eng *sim.Engine, arr *raid.Array, cfg Config, pageSize int) (*Scrubber,
 	}
 	cfg = cfg.withDefaults()
 	lay := arr.Layout()
-	stripeBytes := float64(lay.UnitPages * pageSize * lay.Disks)
-	interval := sim.Time(stripeBytes / (cfg.MBps * 1e6) * float64(sim.Second))
 	return &Scrubber{
 		eng:      eng,
 		arr:      arr,
 		cfg:      cfg,
-		interval: interval,
+		interval: rebuild.PaceInterval(int64(lay.UnitPages*pageSize*lay.Disks), cfg.MBps),
 		stripes:  lay.Stripes(),
 	}, nil
 }

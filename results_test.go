@@ -95,7 +95,10 @@ func TestCapacityMatchesGeometry(t *testing.T) {
 	}
 	// Capacity = stripes × unit × dataDisks × pageSize; must be positive,
 	// page-aligned and smaller than raw capacity.
-	c := sys.Capacity()
+	c := cfg.Capacity()
+	if built := int64(sys.arr.Layout().LogicalPages()) * int64(cfg.Flash.PageSize); c != built {
+		t.Fatalf("Config.Capacity %d, built array holds %d", c, built)
+	}
 	raw := int64(cfg.Disks) * int64(cfg.Flash.Blocks*cfg.Flash.PagesPerBlock*cfg.Flash.PageSize)
 	if c <= 0 || c >= raw {
 		t.Fatalf("capacity %d vs raw %d", c, raw)

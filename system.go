@@ -318,25 +318,11 @@ func (s *System) newSpare() (*ssd.Device, error) {
 	return spare, nil
 }
 
-// Capacity returns the array's logical capacity in bytes; generated
-// workloads should target it.
-func (s *System) Capacity() int64 {
-	return int64(s.arr.Layout().LogicalPages()) * int64(s.cfg.Flash.PageSize)
-}
-
 // GenerateWorkload synthesizes up to maxRequests of the named Table I
-// profile sized to this system's capacity (maxRequests <= 0 keeps the full
-// published request count).
+// profile sized to this system's capacity: Config.GenerateWorkload on the
+// system's configuration.
 func (s *System) GenerateWorkload(profile string, maxRequests int) (Trace, error) {
-	p, ok := workload.ByName(profile)
-	if !ok {
-		return nil, fmt.Errorf("gcsteering: unknown profile %q (have %v)", profile, workload.Names())
-	}
-	return workload.Generate(p, workload.Options{
-		Capacity:    s.Capacity(),
-		MaxRequests: maxRequests,
-		Seed:        s.cfg.Seed + 7,
-	})
+	return s.cfg.GenerateWorkload(profile, maxRequests)
 }
 
 // submit issues one request to the array and records its response time.

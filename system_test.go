@@ -2,6 +2,7 @@ package gcsteering
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"gcsteering/internal/core"
@@ -93,6 +94,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestBandwidthCapsValidated pins the pacing bound: a cap so small that
+// one transfer's interval overflows engine time used to wrap to a negative
+// gap and run uncapped, and a NaN or infinite cap paced nothing at all.
+// Caps <= 0 still mean "off" or "default".
+func TestBandwidthCapsValidated(t *testing.T) {
+	caps := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"Fault.RebuildMBps", func(c *Config, v float64) { c.Fault.RebuildMBps = v }},
+		{"ScrubMBps", func(c *Config, v float64) { c.ScrubMBps = v }},
+		{"ResyncMBps", func(c *Config, v float64) { c.ResyncMBps = v }},
+	}
+	for _, f := range caps {
+		for _, v := range []float64{1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err == nil {
+				t.Errorf("%s = %v accepted", f.name, v)
+			}
+		}
+		for _, v := range []float64{-1, 0, 1e-3, 10, 1e300} {
+			cfg := DefaultConfig()
+			f.set(&cfg, v)
+			if err := cfg.Validate(); err != nil {
+				t.Errorf("%s = %v rejected: %v", f.name, v, err)
+			}
+		}
+	}
+}
+
 func TestSchemeAndStagingStrings(t *testing.T) {
 	if SchemeLGC.String() != "LGC" || SchemeGGC.String() != "GGC" || SchemeSteering.String() != "GC-Steering" {
 		t.Fatal("scheme names")
@@ -139,6 +171,52 @@ func TestReplayAllSchemes(t *testing.T) {
 		}
 		if res.String() == "" {
 			t.Fatal("empty report")
+		}
+	}
+}
+
+// TestConfigGenerateWorkloadMatchesSystem pins the invariant the harness's
+// single build per cell relies on: a trace generated from a Config before
+// any system exists equals the one the built system generates, and
+// Config.Capacity equals the built array's capacity, for every Config
+// shape the experiment grids build.
+func TestConfigGenerateWorkloadMatchesSystem(t *testing.T) {
+	memo := new(Warmup)
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"RAID5, 5 disks", func(*Config) {}},
+		{"7 disks", func(c *Config) { c.Disks = 7 }},
+		{"RAID6, 6 disks", func(c *Config) {
+			c.Level = RAID6
+			c.Disks = 6
+		}},
+		{"dedicated staging", func(c *Config) {
+			c.Scheme = SchemeSteering
+			c.Staging = StagingDedicated
+		}},
+		{"ReservedFrac 0.30", func(c *Config) { c.ReservedFrac = 0.30 }},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		sys, err := memo.New(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if built := int64(sys.arr.Layout().LogicalPages()) * int64(cfg.Flash.PageSize); cfg.Capacity() != built {
+			t.Errorf("%s: Config.Capacity %d, built array holds %d", tc.name, cfg.Capacity(), built)
+		}
+		want, err := sys.GenerateWorkload("HPC_W", 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cfg.GenerateWorkload("HPC_W", 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Config.GenerateWorkload differs from System.GenerateWorkload", tc.name)
 		}
 	}
 }
