@@ -66,7 +66,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		requests   = fs.Int("requests", 8000, "requests per workload (scaled-down replay of the Table I traces)")
 		workers    = fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)")
 		seed       = fs.Int64("seed", 0, "seed offset for replication")
-		repeats    = fs.Int("repeats", 1, "average each cell over this many seeds (fig7a, fig8, fig9, fig10 and raid6; the other grids run each cell once)")
+		repeats    = fs.Int("repeats", 1, "average each cell over this many seeds (fig7a, fig8, fig9, fig10, ablation and raid6; the other grids run each cell once)")
 		jsonPath   = fs.String("json", "", "also write results as JSON to this file")
 		tracePath  = fs.String("trace", "", "write the simulation event log (JSONL) of tracing-aware experiments (fig1) to this file")
 		seriesPath = fs.String("timeseries", "", "write the windowed latency time series (CSV) of tracing-aware experiments (fig1) to this file")

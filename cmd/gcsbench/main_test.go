@@ -175,38 +175,73 @@ func TestGoldenGrids(t *testing.T) {
 	}
 }
 
-// TestGoldenCrashRowsInterruptWrites guards the golden against a vacuous
-// crash grid: every crash regime must have cut some stripe writes.
-func TestGoldenCrashRowsInterruptWrites(t *testing.T) {
+// gridDoc is the part of a grid's -json entry the golden checks read.
+type gridDoc struct {
+	Variants []string                                 `json:"variants"`
+	Metrics  map[string]map[string]map[string]float64 `json:"metrics"`
+}
+
+// goldenGrid returns the named grid experiment of the committed golden
+// document.
+func goldenGrid(t *testing.T, name string) *gridDoc {
+	t.Helper()
 	data, err := os.ReadFile(filepath.Join("testdata", "all_400.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
 		Experiments []struct {
-			Name string `json:"name"`
-			Grid *struct {
-				Metrics map[string]map[string]map[string]float64 `json:"metrics"`
-			} `json:"grid"`
+			Name string   `json:"name"`
+			Grid *gridDoc `json:"grid"`
 		} `json:"experiments"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range doc.Experiments {
-		if e.Name != "crashconsist" {
+		if e.Name == name && e.Grid != nil {
+			return e.Grid
+		}
+	}
+	t.Fatalf("golden has no %s grid", name)
+	return nil
+}
+
+// TestGoldenCrashRowsInterruptWrites guards the golden against a vacuous
+// crash grid: every crash regime must have cut some stripe writes.
+func TestGoldenCrashRowsInterruptWrites(t *testing.T) {
+	rows := goldenGrid(t, "crashconsist").Metrics["dirty stripes (journal scope)"]
+	if len(rows) == 0 {
+		t.Fatal("crashconsist grid has no dirty-stripe rows")
+	}
+	for regime, row := range rows {
+		if row["journal"] <= 0 {
+			t.Errorf("%s: no dirty stripes at the cut (%v)", regime, row)
+		}
+	}
+}
+
+// TestGoldenAblationColumnsMove guards the golden against an inert switch:
+// each mechanism the ablation grid turns off must change GC-Steering's
+// mean response time on at least one workload.
+func TestGoldenAblationColumnsMove(t *testing.T) {
+	g := goldenGrid(t, "ablation")
+	rows := g.Metrics["mean response time (µs)"]
+	if len(rows) == 0 {
+		t.Fatal("ablation grid has no mean response time rows")
+	}
+	for _, v := range g.Variants {
+		if v == "GC-Steering" {
 			continue
 		}
-		rows := e.Grid.Metrics["dirty stripes (journal scope)"]
-		if len(rows) == 0 {
-			t.Fatal("crashconsist grid has no dirty-stripe rows")
-		}
-		for regime, row := range rows {
-			if row["journal"] <= 0 {
-				t.Errorf("%s: no dirty stripes at the cut (%v)", regime, row)
+		moved := false
+		for _, row := range rows {
+			if row[v] != row["GC-Steering"] {
+				moved = true
 			}
 		}
-		return
+		if !moved {
+			t.Errorf("%q equals GC-Steering on every workload: the switch is inert", v)
+		}
 	}
-	t.Fatal("golden has no crashconsist experiment")
 }

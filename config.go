@@ -114,30 +114,15 @@ type Config struct {
 	// an identical array geometry (the paper compares schemes on the same
 	// number of SSDs).
 	ReservedFrac float64
-	// StagingReadFrac splits the staging capacity between hot-read copies
-	// and redirected write data.
-	StagingReadFrac float64
-	// HotFrac caps the popular-read set per disk (paper: 10%).
-	HotFrac float64
 	// MigrateHotReads and ReclaimMerge toggle the corresponding
-	// GC-Steering mechanisms (both on in the paper; ablation knobs here).
+	// GC-Steering mechanisms (both on in the paper; the ablation grid
+	// turns each off).
 	MigrateHotReads bool
 	ReclaimMerge    bool
-	// MigrateThreshold is how many recent re-reads mark a page popular
-	// enough to migrate (0 defaults to 2).
-	MigrateThreshold int
-	// ScanThresholdPages makes popularity tracking scan-resistant: reads
-	// larger than this many pages per member disk are treated as scans and
-	// never migrated (0 defaults to 8 — below the stripe unit, so full-unit
-	// sub-ops of a large striped read are filtered).
-	ScanThresholdPages int
-	// ColdStreamStaging places the reserved staging region on a separate
-	// FTL write stream (multi-stream style hot/cold separation). Off by
-	// default; exposed for ablation studies.
-	ColdStreamStaging bool
 	// DisableGCAwareWrites turns off the controller's reconstruct-write
 	// path for partial-stripe writes whose RMW reads would land on a
-	// collecting disk (ablation knob; GC-Steering enables it).
+	// collecting disk (the ablation grid's "RMW only" column; GC-Steering
+	// enables it).
 	DisableGCAwareWrites bool
 
 	// Checksums enables end-to-end page-checksum verification on the read
@@ -170,15 +155,12 @@ type Config struct {
 	//gcsvet:inert
 	DeadlineUs float64
 	// MaxRetries bounds re-issues of a read sub-op that hits a transient
-	// read error (FaultPlan.TransientReadErrorRate). 0 gives up on the
-	// first error (it is absorbed, not surfaced, mirroring drive-internal
-	// retry exhaustion).
+	// read error (FaultPlan.TransientReadErrorRate). The first retry waits
+	// 200 µs and each further one doubles the wait, up to the simulation
+	// horizon. 0 gives up on the first error (it is absorbed, not surfaced,
+	// mirroring drive-internal retry exhaustion).
 	//gcsvet:inert
 	MaxRetries int
-	// RetryBackoffUs is the base delay before the first retry; it doubles
-	// per attempt, up to the simulation horizon. 0 with MaxRetries > 0
-	// defaults to 200 µs.
-	RetryBackoffUs float64
 	// QueueLimit caps concurrently admitted user requests: beyond it the
 	// array sheds background load first (hot-read migrations, scrub pacing)
 	// and then rejects arrivals outright (Results.Robust.Rejected). <= 0
@@ -398,8 +380,6 @@ func DefaultConfig() Config {
 		Scheme:          SchemeSteering,
 		Staging:         StagingReserved,
 		ReservedFrac:    0.20,
-		StagingReadFrac: 0.3,
-		HotFrac:         0.10,
 		MigrateHotReads: true,
 		ReclaimMerge:    true,
 		Flash:           g,
@@ -430,12 +410,6 @@ func (c Config) Validate() error {
 	// The fraction checks are written so that NaN fails too.
 	if !(c.ReservedFrac >= 0 && c.ReservedFrac <= 0.5) {
 		return fmt.Errorf("gcsteering: ReservedFrac %v outside [0, 0.5]", c.ReservedFrac)
-	}
-	if !(c.StagingReadFrac >= 0 && c.StagingReadFrac <= 1) {
-		return fmt.Errorf("gcsteering: StagingReadFrac %v outside [0, 1]", c.StagingReadFrac)
-	}
-	if math.IsNaN(c.HotFrac) {
-		return fmt.Errorf("gcsteering: HotFrac is NaN")
 	}
 	// A NaN overwrite would also skip the warm-up and never match its own
 	// Warmup key.
@@ -472,9 +446,8 @@ func (c Config) Validate() error {
 		name string
 		ns   float64
 	}
-	spans := []span{{"DeadlineUs", c.DeadlineUs * us}, {"RetryBackoffUs", c.RetryBackoffUs * us},
-		{"PowerLossAtMs", c.PowerLossAtMs * ms}, {"GCOverheadMs", c.GCOverheadMs * ms},
-		{"Fault.RepairDelayMs", c.Fault.RepairDelayMs * ms}}
+	spans := []span{{"DeadlineUs", c.DeadlineUs * us}, {"PowerLossAtMs", c.PowerLossAtMs * ms},
+		{"GCOverheadMs", c.GCOverheadMs * ms}, {"Fault.RepairDelayMs", c.Fault.RepairDelayMs * ms}}
 	for _, f := range c.Fault.Failures {
 		spans = append(spans, span{"Fault.Failures AtMs", f.AtMs * ms})
 	}
@@ -489,9 +462,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("gcsteering: MaxRetries %d negative", c.MaxRetries)
-	}
-	if c.RetryBackoffUs < 0 {
-		return fmt.Errorf("gcsteering: RetryBackoffUs %v negative", c.RetryBackoffUs)
 	}
 	if c.HedgedReads && c.Level != RAID5 && c.Level != RAID6 {
 		return fmt.Errorf("gcsteering: HedgedReads needs RAID5/6 parity (level %v)", c.Level)

@@ -24,40 +24,37 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
-// Config tunes GC-Steering. The zero value is not useful; start from
-// DefaultConfig.
-type Config struct {
-	// HotFrac bounds the popular-read working set per member disk as a
+// Popularity tracking, fixed at the paper's setup.
+const (
+	// hotFrac bounds the popular-read working set per member disk as a
 	// fraction of its data pages (the paper migrates "only up to 10% of
 	// popular data blocks").
-	HotFrac float64
+	hotFrac = 0.10
+	// migrateThreshold is how many recent re-reads a page needs before it
+	// is considered popular enough to migrate.
+	migrateThreshold = 2
+	// scanThresholdPages makes the popularity tracker scan-resistant: read
+	// sub-ops larger than this bypass R_LRU entirely (a large sequential
+	// scan is not "hot data" and would otherwise flush the LRU and trigger
+	// bulk migrations; note sub-ops are capped at the stripe unit, so this
+	// must sit below the unit size to catch full-unit scan sub-ops).
+	scanThresholdPages = 8
+)
+
+// Config switches GC-Steering's mechanisms. The zero value turns both off;
+// start from DefaultConfig.
+type Config struct {
 	// MigrateHotReads enables proactive migration of popular read data to
 	// the staging space (disable for the writes-only ablation).
 	MigrateHotReads bool
 	// ReclaimMerge merges contiguous redirected pages into one write-back
 	// (the paper's merge-before-reclaim optimization; disable to ablate).
 	ReclaimMerge bool
-	// MigrateThreshold is how many recent re-reads a page needs before it
-	// is considered popular enough to migrate (0 defaults to 2).
-	MigrateThreshold int
-	// ScanThresholdPages makes the popularity tracker scan-resistant: read
-	// sub-ops larger than this bypass R_LRU entirely (a large sequential
-	// scan is not "hot data" and would otherwise flush the LRU and trigger
-	// bulk migrations; note sub-ops are capped at the stripe unit, so this
-	// must sit below the unit size to catch full-unit scan sub-ops).
-	// 0 defaults to 8 pages (32 KiB).
-	ScanThresholdPages int
 }
 
 // DefaultConfig returns the paper's configuration.
 func DefaultConfig() Config {
-	return Config{
-		HotFrac:            0.10,
-		MigrateHotReads:    true,
-		ReclaimMerge:       true,
-		MigrateThreshold:   2,
-		ScanThresholdPages: 8,
-	}
+	return Config{MigrateHotReads: true, ReclaimMerge: true}
 }
 
 // Stats counts the redirector's activity, all in pages.
@@ -160,8 +157,8 @@ func appendPage(runs []pageRun, page int) []pageRun {
 // New wires a Steering controller onto the array. It replaces the array's
 // Route hook.
 func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steering, error) {
-	if cfg.HotFrac < 0 || cfg.HotFrac > 1 {
-		return nil, fmt.Errorf("core: HotFrac %v outside [0,1]", cfg.HotFrac)
+	if staging == nil {
+		return nil, fmt.Errorf("core: nil staging space")
 	}
 	devs := arr.Disks()
 	pages := arr.Layout().DiskPages
@@ -175,7 +172,7 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 		failedHome: -1,
 		draining:   make([]bool, len(devs)),
 	}
-	hotCap := int(cfg.HotFrac * float64(pages))
+	hotCap := int(hotFrac * float64(pages))
 	if hotCap < 1 {
 		hotCap = 1
 	}
@@ -408,7 +405,7 @@ func (s *Steering) routeRead(now sim.Time, op raid.SubOp, done func(sim.Time)) b
 		s.stats.DirectReads += int64(r.pages)
 		must(s.devs[disk].Read(now, r.page, r.pages, cb))
 	}
-	if quar && op.Kind == raid.OpDataRead && op.Pages <= s.scanThreshold() {
+	if quar && op.Kind == raid.OpDataRead && op.Pages <= scanThresholdPages {
 		// A quarantine, unlike a GC episode, can outlast the popularity of
 		// the data stuck on the sick member: keep tracking the pages that
 		// still had to be read directly so their hot ones escape to the
@@ -425,14 +422,6 @@ func (s *Steering) routeRead(now sim.Time, op raid.SubOp, done func(sim.Time)) b
 	return true
 }
 
-// scanThreshold returns the effective scan-resistance cutoff in pages.
-func (s *Steering) scanThreshold() int {
-	if s.cfg.ScanThresholdPages > 0 {
-		return s.cfg.ScanThresholdPages
-	}
-	return 8
-}
-
 // observeRead updates the popularity tracker and proactively migrates
 // popular pages to the staging space. Migration piggybacks on the read the
 // user already performed (the data is in controller memory), so only the
@@ -442,7 +431,7 @@ func (s *Steering) observeRead(now sim.Time, op raid.SubOp) {
 	if op.Kind != raid.OpDataRead {
 		return // RMW old-data reads are not popularity signals
 	}
-	if op.Pages > s.scanThreshold() {
+	if op.Pages > scanThresholdPages {
 		return // scan resistance: large sequential reads are not hot data
 	}
 	for i := 0; i < op.Pages; i++ {
@@ -456,12 +445,8 @@ func (s *Steering) observeRead(now sim.Time, op raid.SubOp) {
 // pressure, in which case the copy is shed (the page stays tracked and
 // gets another chance on its next read).
 func (s *Steering) touchAndMigrate(now sim.Time, disk int, page int32) {
-	threshold := s.cfg.MigrateThreshold
-	if threshold <= 0 {
-		threshold = 2
-	}
 	hits := s.hot[disk].Touch(page)
-	if hits < threshold || !s.cfg.MigrateHotReads {
+	if hits < migrateThreshold || !s.cfg.MigrateHotReads {
 		return
 	}
 	key := PageKey{Disk: int32(disk), Page: page}

@@ -253,7 +253,7 @@ func TestReclaimMergesContiguousRuns(t *testing.T) {
 func TestHotReadMigrationAndGCDodge(t *testing.T) {
 	r := newRig(t, "reserved", DefaultConfig())
 	homeDisk, homePage := r.homeOf(0)
-	// Three reads make the page popular (MigrateThreshold=2 prior hits);
+	// Three reads make the page popular (migrateThreshold=2 prior hits);
 	// the third migrates it.
 	for i := 0; i < 3; i++ {
 		r.arr.Read(r.eng.Now(), 0, 1, nil)
@@ -461,7 +461,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(eng, arr, nil, Config{HotFrac: 2}); err == nil {
-		t.Fatal("bad HotFrac accepted")
+	if _, err := New(eng, arr, nil, DefaultConfig()); err == nil {
+		t.Fatal("nil staging space accepted")
 	}
 }

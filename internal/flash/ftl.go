@@ -48,15 +48,9 @@ type FTL struct {
 
 	blocks []blockMeta
 
-	freeByChan [][]int // per-channel stacks of free block indices
-	// activeBlock is indexed [stream][channel]: stream 0 carries ordinary
-	// host data, stream 1 carries cold data (LPNs at or above coldStart —
-	// the staging region). Separating the streams keeps long-lived staging
-	// copies out of the blocks churned by hot user writes, the classic
-	// multi-stream FTL optimization.
-	activeBlock [2][]int
-	coldStart   int // first LPN of the cold stream (LogicalPages = none)
-	nextChan    int // round-robin cursor for host writes
+	freeByChan  [][]int // per-channel stacks of free block indices
+	activeBlock []int   // per-channel block absorbing programs, or -1
+	nextChan    int     // round-robin cursor for host writes
 
 	freeBlocks  int // total blocks in blockFree state
 	mappedPages int // number of mapped logical pages
@@ -78,16 +72,16 @@ func NewFTL(g Geometry) (*FTL, error) {
 	}
 	shift := uint(bits.Len(uint(g.PagesPerBlock - 1)))
 	f := &FTL{
-		geom:       g,
-		shift:      shift,
-		l2p:        make([]int32, g.LogicalPages()),
-		p2l:        make([]int32, g.Blocks<<shift),
-		blocks:     make([]blockMeta, g.Blocks),
-		freeByChan: make([][]int, g.Channels),
-		coldStart:  g.LogicalPages(),
-		gcReads:    make([]int, g.Channels),
-		gcPrograms: make([]int, g.Channels),
-		gcErases:   make([]int, g.Channels),
+		geom:        g,
+		shift:       shift,
+		l2p:         make([]int32, g.LogicalPages()),
+		p2l:         make([]int32, g.Blocks<<shift),
+		blocks:      make([]blockMeta, g.Blocks),
+		freeByChan:  make([][]int, g.Channels),
+		activeBlock: make([]int, g.Channels),
+		gcReads:     make([]int, g.Channels),
+		gcPrograms:  make([]int, g.Channels),
+		gcErases:    make([]int, g.Channels),
 	}
 	for i := range f.l2p {
 		f.l2p[i] = unmapped
@@ -95,11 +89,8 @@ func NewFTL(g Geometry) (*FTL, error) {
 	for i := range f.p2l {
 		f.p2l[i] = unmapped
 	}
-	for st := 0; st < 2; st++ {
-		f.activeBlock[st] = make([]int, g.Channels)
-		for c := 0; c < g.Channels; c++ {
-			f.activeBlock[st][c] = -1
-		}
+	for c := range f.activeBlock {
+		f.activeBlock[c] = -1
 	}
 	// Populate free lists channel by channel, low block numbers first.
 	for b := g.Blocks - 1; b >= 0; b-- {
@@ -112,7 +103,7 @@ func NewFTL(g Geometry) (*FTL, error) {
 }
 
 // Clone returns a deep copy of the FTL: the mappings, the block states, each
-// channel's free stack in its order, both streams' active blocks, the
+// channel's free stack in its order, the active blocks, the
 // round-robin cursor, the counters and the last GC plan's scratch. The copy
 // and the receiver share no memory, so writes and collections on one never
 // show in the other, and the copy makes exactly the allocation decisions
@@ -126,9 +117,7 @@ func (f *FTL) Clone() *FTL {
 	for ch, stack := range f.freeByChan {
 		c.freeByChan[ch] = append([]int(nil), stack...)
 	}
-	for st := range f.activeBlock {
-		c.activeBlock[st] = append([]int(nil), f.activeBlock[st]...)
-	}
+	c.activeBlock = append([]int(nil), f.activeBlock...)
 	c.gcReads = append([]int(nil), f.gcReads...)
 	c.gcPrograms = append([]int(nil), f.gcPrograms...)
 	c.gcErases = append([]int(nil), f.gcErases...)
@@ -171,23 +160,6 @@ func (f *FTL) WriteAmplification() float64 {
 	return float64(f.hostWrites+f.gcWrites) / float64(f.hostWrites)
 }
 
-// SetColdBoundary declares that LPNs at or above boundary belong to the
-// cold stream (the staging region). Pass LogicalPages() to disable.
-func (f *FTL) SetColdBoundary(boundary int) {
-	if boundary < 0 || boundary > len(f.l2p) {
-		panic(fmt.Sprintf("flash: cold boundary %d out of range", boundary))
-	}
-	f.coldStart = boundary
-}
-
-// streamOf returns the write stream for a logical page.
-func (f *FTL) streamOf(lpn int) int {
-	if lpn >= f.coldStart {
-		return 1
-	}
-	return 0
-}
-
 // Lookup returns the physical page holding logical page lpn, or -1 when the
 // page has never been written.
 func (f *FTL) Lookup(lpn int) int {
@@ -204,8 +176,7 @@ func (f *FTL) Lookup(lpn int) int {
 func (f *FTL) Write(lpn int) int {
 	f.checkLPN(lpn)
 	f.invalidate(lpn)
-	stream := f.streamOf(lpn)
-	ppn, b := f.allocate(stream, f.pickWriteChannel(stream))
+	ppn, b := f.allocate(f.pickWriteChannel())
 	f.l2p[lpn] = int32(ppn)
 	f.p2l[ppn] = int32(lpn)
 	f.blocks[b].validPages++
@@ -241,9 +212,9 @@ func (f *FTL) invalidate(lpn int) {
 // pickWriteChannel advances the round-robin cursor, skipping channels with
 // no room at all (every block full and no free block). If every channel is
 // exhausted it panics: GC must run before that point.
-func (f *FTL) pickWriteChannel(stream int) int {
+func (f *FTL) pickWriteChannel() int {
 	for i := 0; i < f.geom.Channels; i++ {
-		if c := f.advanceChan(); f.channelHasRoom(stream, c) {
+		if c := f.advanceChan(); f.channelHasRoom(c) {
 			return c
 		}
 	}
@@ -260,19 +231,18 @@ func (f *FTL) advanceChan() int {
 	return c
 }
 
-func (f *FTL) channelHasRoom(stream, c int) bool {
+func (f *FTL) channelHasRoom(c int) bool {
 	if len(f.freeByChan[c]) > 0 {
 		return true
 	}
-	ab := f.activeBlock[stream][c]
+	ab := f.activeBlock[c]
 	return ab >= 0 && f.blocks[ab].writePtr < int32(f.geom.PagesPerBlock)
 }
 
-// allocate returns the next physical page on channel c in the given
-// stream and its block, opening a fresh active block when the current one
-// fills.
-func (f *FTL) allocate(stream, c int) (ppn, block int) {
-	ab := f.activeBlock[stream][c]
+// allocate returns the next physical page on channel c and its block,
+// opening a fresh active block when the current one fills.
+func (f *FTL) allocate(c int) (ppn, block int) {
+	ab := f.activeBlock[c]
 	if ab < 0 || f.blocks[ab].writePtr >= int32(f.geom.PagesPerBlock) {
 		if ab >= 0 {
 			f.blocks[ab].state = blockFull
@@ -286,7 +256,7 @@ func (f *FTL) allocate(stream, c int) (ppn, block int) {
 		f.freeBlocks--
 		f.blocks[ab].state = blockActive
 		f.blocks[ab].writePtr = 0
-		f.activeBlock[stream][c] = ab
+		f.activeBlock[c] = ab
 	}
 	ppn = ab<<f.shift | int(f.blocks[ab].writePtr)
 	f.blocks[ab].writePtr++
@@ -361,28 +331,20 @@ func (f *FTL) CheckInvariants() error {
 			}
 		}
 	}
-	// Every active block is exactly one stream's active block on its own
-	// channel, so a full block — the only kind pickVictim returns — is
-	// never where allocate programs next.
+	// Every active block is its own channel's active block, so a full
+	// block — the only kind pickVictim returns — is never where allocate
+	// programs next.
 	slots := 0
-	inSlot := make([]bool, f.geom.Blocks)
-	for st := range f.activeBlock {
-		for c, b := range f.activeBlock[st] {
-			if b < 0 {
-				continue
-			}
-			slots++
-			if inSlot[b] {
-				return fmt.Errorf("flash: block %d is active in two slots", b)
-			}
-			inSlot[b] = true
-			if f.blocks[b].state != blockActive {
-				return fmt.Errorf("flash: stream %d channel %d active block %d in state %d",
-					st, c, b, f.blocks[b].state)
-			}
-			if int(f.blocks[b].channel) != c {
-				return fmt.Errorf("flash: block %d active on channel %d, owned by %d", b, c, f.blocks[b].channel)
-			}
+	for c, b := range f.activeBlock {
+		if b < 0 {
+			continue
+		}
+		slots++
+		if f.blocks[b].state != blockActive {
+			return fmt.Errorf("flash: channel %d active block %d in state %d", c, b, f.blocks[b].state)
+		}
+		if int(f.blocks[b].channel) != c {
+			return fmt.Errorf("flash: block %d active on channel %d, owned by %d", b, c, f.blocks[b].channel)
 		}
 	}
 	if slots != activeCount {

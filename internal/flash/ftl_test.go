@@ -350,13 +350,21 @@ func BenchmarkFTLRandomOverwriteWithGC(b *testing.B) {
 		f.Write(lpn)
 	}
 	rng := rand.New(rand.NewSource(5))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	overwrite := func() {
 		f.Write(rng.Intn(g.LogicalPages()))
 		if f.NeedGC(8) {
 			f.CollectUntil(16, 0)
 		}
+	}
+	// Overwrite until the first GC episode, so even a short run measures
+	// writes on a device that collects.
+	for f.Erases() == 0 {
+		overwrite()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		overwrite()
 	}
 	b.ReportMetric(f.WriteAmplification(), "write-amp")
 }

@@ -85,7 +85,7 @@ func (f *FTL) collectBlock(b int, plan *Plan) {
 		if lpn == unmapped {
 			continue
 		}
-		to, toBlock, toChan := f.allocateForGC(f.streamOf(int(lpn)))
+		to, toBlock, toChan := f.allocateForGC()
 		// Relocate the mapping.
 		f.p2l[base+off] = unmapped
 		f.blocks[b].validPages--
@@ -98,7 +98,7 @@ func (f *FTL) collectBlock(b int, plan *Plan) {
 	f.gcWrites += int64(moved)
 	plan.ChannelReads[ch] += moved
 	plan.PagesMoved += moved
-	// Erase. The victim was full, so it was no stream's active block and
+	// Erase. The victim was full, so it was no channel's active block and
 	// no active slot needs clearing.
 	f.blocks[b].state = blockFree
 	f.blocks[b].writePtr = 0
@@ -117,14 +117,14 @@ func (f *FTL) collectBlock(b int, plan *Plan) {
 //
 // The victim needs no exclusion as a destination. pickVictim returns only
 // full blocks, and a full block is on no free stack (it gets there only
-// once erased) and is no stream's active block (allocate replaces an
+// once erased) and is no channel's active block (allocate replaces an
 // active block the moment it marks it full). So allocate can never hand
 // out a page of the block being collected.
-func (f *FTL) allocateForGC(stream int) (ppn, block, channel int) {
+func (f *FTL) allocateForGC() (ppn, block, channel int) {
 	c := f.advanceChan()
 	for i := 0; i < f.geom.Channels; i++ {
-		if f.channelHasRoom(stream, c) {
-			ppn, block = f.allocate(stream, c)
+		if f.channelHasRoom(c) {
+			ppn, block = f.allocate(c)
 			return ppn, block, c
 		}
 		if c++; c == f.geom.Channels {

@@ -31,7 +31,7 @@ func pageAddr(f *FTL, ppn int) (block, off, ch int) {
 }
 
 // allocationDigests drives a fixed-seed script of host writes, trims,
-// watermark GC and forced GC on a fresh FTL with a cold stream, and
+// watermark GC and forced GC on a fresh FTL, and
 // returns one digest of where every host write landed — its block, offset
 // and channel — and one of every GC episode's per-channel counts and of
 // the final translation.
@@ -39,7 +39,6 @@ func allocationDigests(t *testing.T, g Geometry) (writes, plans uint64) {
 	t.Helper()
 	f := mustFTL(t, g)
 	lp := g.LogicalPages()
-	f.SetColdBoundary(lp * 3 / 4)
 	rng := rand.New(rand.NewSource(18))
 	wd, pd := newDigest(), newDigest()
 	episode := func(p Plan) {
@@ -85,17 +84,17 @@ func allocationDigests(t *testing.T, g Geometry) (writes, plans uint64) {
 // TestAllocationDecisionsPinned pins the FTL's placement and GC decisions
 // for a fixed script: which page each host write lands on, and how many
 // GC reads, programs and erases each episode puts on each channel. The
-// digests were recorded from the plain block*PagesPerBlock+offset
-// numbering; any change to victim choice, free-stack order, stream
-// separation or channel rotation moves them. The 24-page geometry pins the
-// numbering of blocks whose size is not a power of two.
+// digests record blocks, offsets and channels, not page numbers; any
+// change to victim choice, free-stack order or channel rotation moves
+// them. The 24-page geometry pins the numbering of blocks whose size is
+// not a power of two.
 func TestAllocationDecisionsPinned(t *testing.T) {
 	cases := []struct {
 		ppb           int
 		writes, plans uint64
 	}{
-		{32, 0xc9658563472cec4c, 0xcc830de1c86c81bb},
-		{24, 0x91a1df8dd374ce7e, 0x902c0c0df7fbfe82},
+		{32, 0x27822feaa382f173, 0x27b59bb47886a752},
+		{24, 0x2cef3f25ba1645af, 0x4090e99b9dec7bd5},
 	}
 	for _, c := range cases {
 		g := testGeom()

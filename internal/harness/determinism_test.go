@@ -128,7 +128,6 @@ func TestRobustZeroCostWhenHealthy(t *testing.T) {
 		if armed {
 			cfg.Quarantine = true
 			cfg.MaxRetries = 2
-			cfg.RetryBackoffUs = 200
 			cfg.QueueLimit = 4096
 		}
 		sys, err := gcsteering.New(cfg)

@@ -281,6 +281,20 @@ func Fig10(o Options) (*Grid, error) {
 	return runGrid(o, g, vs, unchanged, averaged(o, nil), recordMean(g))
 }
 
+// Ablation switches off GC-Steering's mechanisms one at a time: popular-read
+// migration (§III-B), merge-before-reclaim (§III-C), and the controller's
+// GC-aware write path, which leaves partial-stripe writes to plain RMW.
+func Ablation(o Options) (*Grid, error) {
+	vs := []variant{
+		{"GC-Steering", unchanged},
+		{"no migration", func(c *gcsteering.Config) { c.MigrateHotReads = false }},
+		{"no merge", func(c *gcsteering.Config) { c.ReclaimMerge = false }},
+		{"RMW only", func(c *gcsteering.Config) { c.DisableGCAwareWrites = true }},
+	}
+	g := newGrid("Ablation: GC-Steering with one mechanism off", fig8Workloads(), names(vs))
+	return runGrid(o, g, vs, steer, averaged(o, nil), recordMean(g))
+}
+
 // Fig11 regenerates the reconstruction study: the mean user response time
 // during RAID rebuild, normalized to the same scheme's response time with
 // no rebuild under way. The paper's setup: 6 SSDs total, 5 servicing user

@@ -33,9 +33,9 @@ type Options struct {
 	// Seed offsets all cell seeds for replication studies.
 	Seed int64
 	// Repeats averages each cell over this many seeds (0 = 1) in the fig7a,
-	// fig8, fig9, fig10 and raid6 grids only. Every other experiment —
-	// faults, scrub, failslow, crashconsist, fig11, cluster, chaos and the
-	// text reports — runs once and ignores it. The paper's normalized bars
+	// fig8, fig9, fig10, ablation and raid6 grids only. Every other
+	// experiment — faults, scrub, failslow, crashconsist, fig11, cluster,
+	// chaos and the text reports — runs once and ignores it. The paper's normalized bars
 	// are single measurements; averaging tames the simulator's run-to-run
 	// variance.
 	Repeats int

@@ -23,6 +23,7 @@ var Experiments = []Experiment{
 	{Name: "fig8", Blurb: "array-size sweep", Base: "5 SSDs", Run: grid(Fig8)},
 	{Name: "fig9", Blurb: "stripe-unit sweep", Base: "64KB", Run: grid(Fig9)},
 	{Name: "fig10", Blurb: "staging configuration comparison (reserved vs dedicated)", Base: "Reserved", Run: grid(Fig10)},
+	{Name: "ablation", Blurb: "GC-Steering with hot-read migration, merge-before-reclaim or GC-aware writes off", Base: "GC-Steering", Run: grid(Ablation)},
 	{Name: "fig11", Blurb: "response time and rebuild duration during reconstruction", Run: grid(Fig11)},
 	{Name: "raid6", Blurb: "RAID6 extension of the main comparison", Base: "LGC", Run: grid(RAID6)},
 	{Name: "endurance", Blurb: "per-scheme flash wear (erases, write amplification)", Run: text(Endurance)},

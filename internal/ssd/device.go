@@ -421,11 +421,6 @@ func (d *Device) Write(now sim.Time, lpn, pages int, done func(now sim.Time)) er
 	return nil
 }
 
-// SetColdBoundary marks LPNs at or above boundary as cold-stream data
-// (the staging region); the FTL keeps them in separate active blocks so
-// long-lived staging copies do not pollute hot user-data blocks.
-func (d *Device) SetColdBoundary(boundary int) { d.ftl.SetColdBoundary(boundary) }
-
 // Trim drops mappings without consuming channel time (a metadata op).
 func (d *Device) Trim(lpn, pages int) error {
 	if err := d.checkRange(lpn, pages); err != nil {

@@ -341,11 +341,19 @@ func BenchmarkDeviceRandomWrite(b *testing.B) {
 	d.Prefill(rand.New(rand.NewSource(1)), 0.5, d.LogicalPages())
 	rng := rand.New(rand.NewSource(2))
 	lp := d.LogicalPages()
+	write := func() {
+		d.Write(eng.Now(), rng.Intn(lp), 1, nil)
+		eng.RunFor(50 * sim.Microsecond)
+	}
+	// Write until the first GC episode, so even a short run measures
+	// writes on a device that collects.
+	for d.Stats().GCEpisodes == 0 {
+		write()
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Write(eng.Now(), rng.Intn(lp), 1, nil)
-		eng.RunFor(50 * sim.Microsecond)
+		write()
 	}
 	b.StopTimer()
 	eng.Run()

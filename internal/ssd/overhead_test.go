@@ -69,21 +69,6 @@ func TestGCWallAndBusyTimeAccounting(t *testing.T) {
 	}
 }
 
-func TestSetColdBoundaryDelegates(t *testing.T) {
-	eng := sim.NewEngine()
-	d, err := New(0, eng, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetColdBoundary(d.LogicalPages() / 2) // must not panic
-	d.Write(0, 0, 1, nil)
-	d.Write(0, d.LogicalPages()/2, 1, nil)
-	eng.Run()
-	if d.Stats().PagesWritten != 2 {
-		t.Fatal("writes across the boundary failed")
-	}
-}
-
 func TestPrefillPartialRange(t *testing.T) {
 	_, d := newDevice(t)
 	used := d.LogicalPages() / 2

@@ -108,27 +108,6 @@ func TestCapacityMatchesGeometry(t *testing.T) {
 	}
 }
 
-func TestAblationKnobsBuild(t *testing.T) {
-	cfg := smallConfig(SchemeSteering)
-	cfg.MigrateHotReads = false
-	cfg.ReclaimMerge = false
-	cfg.MigrateThreshold = 5
-	cfg.ScanThresholdPages = 4
-	cfg.ColdStreamStaging = true
-	cfg.DisableGCAwareWrites = true
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sys.GenerateWorkload("hm_0", 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Replay(tr); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDedicatedStagingSystem(t *testing.T) {
 	cfg := smallConfig(SchemeSteering)
 	cfg.Staging = StagingDedicated

@@ -13,7 +13,6 @@ func TestSettleOnceWithPooledSlots(t *testing.T) {
 	cfg.QueueLimit = 16
 	cfg.HedgedReads = true
 	cfg.MaxRetries = 2
-	cfg.RetryBackoffUs = 500
 	cfg.Fault.TransientReadErrorRate = 0.02
 	cfg.Fault.Failures = []DiskFault{{Disk: 1, AtMs: 1000}}
 	// A fail-slow member triggers hedges and backs the queue up.
@@ -72,15 +71,15 @@ func TestSettleOnceWithPooledSlots(t *testing.T) {
 }
 
 // TestManyRetriesRunToCompletion replays a config whose doubling retry
-// backoff would overflow the clock after a few dozen attempts: the backoff
-// saturates at the simulation horizon instead, and the run finishes.
+// backoff would overflow the clock after a few dozen attempts (200 µs
+// doubled 200 times): the backoff saturates at the simulation horizon
+// instead, and the run finishes.
 func TestManyRetriesRunToCompletion(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 3000 requests with up to 200 retries per read")
 	}
 	cfg := DefaultConfig()
 	cfg.MaxRetries = 200
-	cfg.RetryBackoffUs = 1e6
 	cfg.Fault.TransientReadErrorRate = 0.999
 	sys, err := New(cfg)
 	if err != nil {

@@ -149,11 +149,6 @@ func (w *Warmup) New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.ColdStreamStaging {
-			// The reserved region goes on a separate stream. Declaring it after
-			// the warm-up changes nothing: the warm-up writes only below it.
-			d.SetColdBoundary(cfg.diskPages())
-		}
 		d.Trace = cfg.Trace
 		s.devs = append(s.devs, d)
 		s.disks = append(s.disks, d)
@@ -186,11 +181,8 @@ func (w *Warmup) New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		st, err := core.New(s.eng, arr, staging, core.Config{
-			HotFrac:            cfg.HotFrac,
-			MigrateHotReads:    cfg.MigrateHotReads,
-			ReclaimMerge:       cfg.ReclaimMerge,
-			MigrateThreshold:   cfg.MigrateThreshold,
-			ScanThresholdPages: cfg.ScanThresholdPages,
+			MigrateHotReads: cfg.MigrateHotReads,
+			ReclaimMerge:    cfg.ReclaimMerge,
 		})
 		if err != nil {
 			return nil, err
@@ -215,11 +207,7 @@ func (w *Warmup) New(cfg Config) (*System, error) {
 	// fail-slow health monitor. All of it is inert (and byte-identical to a
 	// run without it) until a fault plan or queue pressure exercises it.
 	arr.MaxRetries = cfg.MaxRetries
-	backoff := sim.Time(cfg.RetryBackoffUs * float64(sim.Microsecond))
-	if cfg.MaxRetries > 0 && backoff == 0 {
-		backoff = 200 * sim.Microsecond
-	}
-	arr.RetryBackoff = backoff
+	arr.RetryBackoff = retryBackoff
 	arr.QueueLimit = cfg.QueueLimit
 	if cfg.QueueLimit > 0 && s.steer != nil {
 		s.steer.Pressure = arr.UnderPressure
@@ -286,19 +274,27 @@ func (s *System) rebuildReservePages() int {
 	return need
 }
 
+// stagingReadFrac is the share of the staging space that holds hot-read
+// copies; redirected write data gets the rest.
+const stagingReadFrac = 0.3
+
+// retryBackoff is the delay before the first retry of a transient read
+// error (Config.MaxRetries); it doubles per attempt.
+const retryBackoff = 200 * sim.Microsecond
+
 // buildStaging assembles the configured staging space.
 func (s *System) buildStaging() (core.Staging, error) {
 	switch s.cfg.Staging {
 	case StagingReserved:
 		reserved := s.cfg.Flash.LogicalPages() - s.cfg.diskPages()
 		reserved -= s.rebuildReservePages()
-		return core.NewReservedStaging(s.disks, s.cfg.diskPages(), reserved, s.cfg.StagingReadFrac)
+		return core.NewReservedStaging(s.disks, s.cfg.diskPages(), reserved, stagingReadFrac)
 	case StagingDedicated:
 		spare, err := s.newSpare()
 		if err != nil {
 			return nil, err
 		}
-		return core.NewDedicatedStaging(spare, s.cfg.StagingReadFrac)
+		return core.NewDedicatedStaging(spare, stagingReadFrac)
 	default:
 		return nil, fmt.Errorf("gcsteering: unknown staging kind %v", s.cfg.Staging)
 	}
@@ -310,9 +306,6 @@ func (s *System) newSpare() (*ssd.Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The spare starts fresh: it holds no host data until it is used as a
-	// staging space or a rebuild target.
-	spare.SetColdBoundary(0)
 	spare.Trace = s.trace
 	s.spare = spare
 	return spare, nil

@@ -54,7 +54,6 @@ func TestConfigValidation(t *testing.T) {
 		// Every ms/µs field must convert to engine nanoseconds inside the
 		// simulation horizon: past it the conversion overflows.
 		{"DeadlineUs past the horizon", func(c *Config) { c.DeadlineUs = 1e16 }},
-		{"RetryBackoffUs past the horizon", func(c *Config) { c.RetryBackoffUs = 1e17 }},
 		{"PowerLossAtMs past the horizon", func(c *Config) { c.PowerLossAtMs = 1e13 }},
 		{"GCOverheadMs past the horizon", func(c *Config) { c.GCOverheadMs = 1e13 }},
 		{"RepairDelayMs past the horizon", func(c *Config) { c.Fault.RepairDelayMs = 1e13 }},
@@ -71,15 +70,8 @@ func TestConfigValidation(t *testing.T) {
 			c.Fault.Slowdowns = []DiskSlowdown{{Disk: 0, Channel: -1, DurationMs: 1, ExtraPerOpUs: 1e16}}
 		}},
 		{"NaN DeadlineUs", func(c *Config) { c.DeadlineUs = math.NaN() }},
-		// Both NaN fractions used to pass and then panic inside New.
-		{"NaN ReservedFrac with cold-stream staging", func(c *Config) {
-			c.ReservedFrac = math.NaN()
-			c.ColdStreamStaging = true
-		}},
-		{"NaN StagingReadFrac", func(c *Config) { c.StagingReadFrac = math.NaN() }},
-		{"StagingReadFrac above 1", func(c *Config) { c.StagingReadFrac = 1.5 }},
-		{"negative StagingReadFrac", func(c *Config) { c.StagingReadFrac = -0.1 }},
-		{"NaN HotFrac", func(c *Config) { c.HotFrac = math.NaN() }},
+		// A NaN ReservedFrac used to pass and then panic inside New.
+		{"NaN ReservedFrac", func(c *Config) { c.ReservedFrac = math.NaN() }},
 		// These used to skip the warm-up silently.
 		{"NaN PrefillOverwrite", func(c *Config) { c.PrefillOverwrite = math.NaN() }},
 		{"+Inf PrefillOverwrite", func(c *Config) { c.PrefillOverwrite = math.Inf(1) }},

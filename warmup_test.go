@@ -8,14 +8,12 @@ import (
 
 // TestWarmupMatchesNew pins the memo's contract: systems built through one
 // shared Warmup from several goroutines at once, so that they race to warm
-// the same images, replay exactly like systems New builds — every scheme,
-// both staging kinds, and a cold stream declared after the warm-up. The
-// last three cases keep the seed but change one other part of the key, so
+// the same images, replay exactly like systems New builds — every scheme
+// and both staging kinds. The last three cases keep the seed but change one other part of the key, so
 // a key missing it hands them another case's image.
 func TestWarmupMatchesNew(t *testing.T) {
 	dedicated := smallConfig(SchemeSteering)
 	dedicated.Staging = StagingDedicated
-	dedicated.ColdStreamStaging = true
 	heavy := smallConfig(SchemeLGC)
 	heavy.PrefillOverwrite = 0.8
 	reserve := smallConfig(SchemeLGC)
@@ -29,7 +27,7 @@ func TestWarmupMatchesNew(t *testing.T) {
 		{"LGC", smallConfig(SchemeLGC)},
 		{"GGC", smallConfig(SchemeGGC)},
 		{"GC-Steering reserved", smallConfig(SchemeSteering)},
-		{"GC-Steering dedicated cold-stream", dedicated},
+		{"GC-Steering dedicated", dedicated},
 		{"LGC heavier warm-up", heavy},
 		{"LGC smaller reserve", reserve},
 		{"LGC higher GC watermark", watermarks},
