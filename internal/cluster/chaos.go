@@ -1,26 +1,23 @@
 // chaos.go compiles a seeded chaos plan — array crashes, replica-link
 // slowdowns, correlated GC storms — into the explicit fault schedule the
 // router executes. Compilation is a pure function of (plan, fleet shape,
-// horizon): the generator is a local splitmix64 stream, so a chaos run is
+// workload span): the generator is a local splitmix64 stream, so a chaos run is
 // exactly as reproducible as a healthy one and the byte-identical
 // determinism gates apply unchanged.
 package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"gcsteering"
 )
 
 // ChaosPlan seeds deterministic fleet-level adversity. The zero value
-// injects nothing. All windows land inside [0, HorizonMs]; a zero horizon
-// is resolved to the admitted workload's span at run time.
+// injects nothing. Every window lands inside the admitted workload's span
+// (the horizon).
 type ChaosPlan struct {
 	// Seed drives every draw; identical plans compile identically.
 	Seed int64
-	// HorizonMs bounds the event window (0 = the workload's span).
-	HorizonMs float64
 
 	// Crashes is how many distinct arrays crash (arrays already carrying an
 	// explicit ArrayFault are never chosen). CrashDowntimeMs > 0 makes the
@@ -30,19 +27,16 @@ type ChaosPlan struct {
 
 	// LinkSlowdowns degrade the replication link into randomly chosen
 	// arrays: each window adds LinkExtraUs (0 = 200) to replica and mirror
-	// legs for LinkSlowdownMs (0 = horizon/4).
-	LinkSlowdowns  int
-	LinkExtraUs    float64
-	LinkSlowdownMs float64
+	// legs for a quarter of the horizon.
+	LinkSlowdowns int
+	LinkExtraUs   float64
 
 	// GCStorms are correlated service-time spikes: each storm hits
-	// StormArrays arrays (0 = max(2, Arrays/2)) at once with StormExtraUs
-	// (0 = 150) per page op for StormMs (0 = horizon/5) — the unsynchronized
-	//-GC worst case where several replicas degrade together.
+	// max(2, Arrays/2) arrays at once with StormExtraUs (0 = 150) per page
+	// op for a fifth of the horizon — the unsynchronized-GC worst case
+	// where several replicas degrade together.
 	GCStorms     int
-	StormArrays  int
 	StormExtraUs float64
-	StormMs      float64
 }
 
 // Enabled reports whether the plan injects anything.
@@ -57,15 +51,6 @@ func (p ChaosPlan) validate(arrays int) error {
 	}
 	if p.Crashes >= arrays {
 		return fmt.Errorf("cluster: chaos Crashes %d would down the whole %d-array fleet", p.Crashes, arrays)
-	}
-	if p.StormArrays < 0 || p.StormArrays > arrays {
-		return fmt.Errorf("cluster: chaos StormArrays %d out of range [0,%d]", p.StormArrays, arrays)
-	}
-	for _, v := range []float64{p.HorizonMs, p.CrashDowntimeMs, p.LinkExtraUs,
-		p.LinkSlowdownMs, p.StormExtraUs, p.StormMs} {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("cluster: chaos durations must be finite and non-negative")
-		}
 	}
 	return nil
 }
@@ -115,10 +100,10 @@ func (r *chaosRand) pick(candidates []int, k int) []int {
 // intra-array slowdown storms. taken marks arrays that already carry an
 // explicit fault and must not be crashed again; disks is the per-array
 // member count a storm fans out over.
-func (p ChaosPlan) compile(arrays, disks int, horizonMs float64, taken []bool) ([]ArrayFault, []LinkSlowdown, [][]gcsteering.DiskSlowdown) {
+func (p ChaosPlan) compile(arrays, disks int, horizonMs float64, taken []bool) ([]ArrayFault, []linkSlowdown, [][]gcsteering.DiskSlowdown) {
 	rng := &chaosRand{s: uint64(p.Seed) ^ 0x6368616f732d7631}
 	var faults []ArrayFault
-	var links []LinkSlowdown
+	var links []linkSlowdown
 	storms := make([][]gcsteering.DiskSlowdown, arrays)
 
 	if p.Crashes > 0 {
@@ -145,12 +130,9 @@ func (p ChaosPlan) compile(arrays, disks int, horizonMs float64, taken []bool) (
 	if extraUs == 0 {
 		extraUs = 200
 	}
-	durMs := p.LinkSlowdownMs
-	if durMs == 0 {
-		durMs = horizonMs / 4
-	}
+	durMs := horizonMs / 4
 	for i := 0; i < p.LinkSlowdowns; i++ {
-		links = append(links, LinkSlowdown{
+		links = append(links, linkSlowdown{
 			Array:      rng.intn(arrays),
 			StartMs:    horizonMs * (0.1 + 0.6*rng.float()),
 			DurationMs: durMs,
@@ -162,17 +144,8 @@ func (p ChaosPlan) compile(arrays, disks int, horizonMs float64, taken []bool) (
 	if stormExtraUs == 0 {
 		stormExtraUs = 150
 	}
-	stormMs := p.StormMs
-	if stormMs == 0 {
-		stormMs = horizonMs / 5
-	}
-	width := p.StormArrays
-	if width == 0 {
-		width = arrays / 2
-		if width < 2 {
-			width = 2
-		}
-	}
+	stormMs := horizonMs / 5
+	width := max(2, arrays/2)
 	for i := 0; i < p.GCStorms; i++ {
 		startMs := horizonMs * (0.1 + 0.6*rng.float())
 		all := make([]int, arrays)

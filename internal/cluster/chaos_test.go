@@ -49,8 +49,10 @@ func TestChaosValidate(t *testing.T) {
 	}{
 		{"crash whole fleet", ChaosPlan{Crashes: 4}},
 		{"negative storms", ChaosPlan{GCStorms: -1}},
-		{"storm width range", ChaosPlan{GCStorms: 1, StormArrays: 5}},
 		{"negative duration", ChaosPlan{Crashes: 1, CrashDowntimeMs: -2}},
+		{"downtime past horizon", ChaosPlan{Crashes: 1, CrashDowntimeMs: 1e300}},
+		{"link extra past horizon", ChaosPlan{LinkSlowdowns: 1, LinkExtraUs: 1e300}},
+		{"storm extra past horizon", ChaosPlan{GCStorms: 1, StormExtraUs: 1e300}},
 	} {
 		c := good
 		c.Chaos = tc.plan
@@ -105,7 +107,6 @@ func TestChaosRunDeterministicAcrossWorkers(t *testing.T) {
 			Tenants:         tinyTenants(4, 120),
 			ReplicateWrites: true,
 			ReplicaLinkUs:   40,
-			DeadlineMs:      15,
 			Chaos: ChaosPlan{
 				Seed:            11,
 				Crashes:         1,

@@ -29,21 +29,19 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
 
 	"gcsteering"
 	"gcsteering/internal/obs"
-	"gcsteering/internal/rebuild"
 	"gcsteering/internal/sim"
 	"gcsteering/internal/trace"
 	"gcsteering/internal/workload"
 )
 
-// QoS is a tenant's service class, which selects its default admission
-// budget (see Tenant.BudgetPerWindow).
+// QoS is a tenant's service class, which selects its admission budget
+// (requests admitted per tenant per budget window).
 type QoS int
 
 const (
@@ -69,9 +67,9 @@ func (q QoS) String() string {
 	}
 }
 
-// defaultBudget is the per-window admission budget implied by the class
+// budget is the per-window admission budget implied by the class
 // (0 = unlimited).
-func (q QoS) defaultBudget() int {
+func (q QoS) budget() int {
 	switch q {
 	case Silver:
 		return 64
@@ -109,7 +107,7 @@ type Tenant struct {
 	Name string
 	// Profile is a Table-I workload profile name (workload.ByName).
 	Profile string
-	// QoS selects the default admission budget.
+	// QoS selects the admission budget.
 	QoS QoS
 	// Requests caps this tenant's generated request count.
 	Requests int
@@ -118,10 +116,6 @@ type Tenant struct {
 	// Volumes is how many volumes the tenant's address space splits into;
 	// each volume is placed independently on the ring (0 = 1).
 	Volumes int
-	// BudgetPerWindow overrides the admission budget: requests admitted
-	// per tenant per budget window. > 0 sets it, < 0 means unlimited,
-	// 0 uses the QoS default.
-	BudgetPerWindow int
 }
 
 // volumes returns the effective volume count.
@@ -132,24 +126,28 @@ func (t Tenant) volumes() int {
 	return t.Volumes
 }
 
-// budget resolves the effective per-window budget (0 = unlimited).
-func (t Tenant) budget() int {
-	switch {
-	case t.BudgetPerWindow > 0:
-		return t.BudgetPerWindow
-	case t.BudgetPerWindow < 0:
-		return 0
-	default:
-		return t.QoS.defaultBudget()
-	}
-}
+// Fleet constants that no experiment varies.
+const (
+	// vnodes is the virtual nodes per array on the placement ring.
+	vnodes = 64
+	// budgetWindow is the admission window a tenant's QoS budget counts
+	// over.
+	budgetWindow = 10 * sim.Millisecond
+	// failoverDelay is the detection gap between a crash and the Directory
+	// repinning the array's volumes onto replicas. Requests arriving in the
+	// gap fail.
+	failoverDelay = 2 * sim.Millisecond
+	// rereplicateMBps caps each background copy stream (re-replication and
+	// failback), paced with the rebuild engine's interval model: a gentle
+	// cap, so background copies restore redundancy without flooding the
+	// spare array.
+	rereplicateMBps = 50
+)
 
 // Config describes one fleet simulation.
 type Config struct {
 	// Arrays is the fleet size: one independent System (engine) each.
 	Arrays int
-	// VNodes is the virtual nodes per array on the placement ring (0 = 64).
-	VNodes int
 	// Policy selects hash-only or GC-aware routing.
 	Policy Policy
 	// Workers bounds the shard worker pool (0 = GOMAXPROCS). The worker
@@ -166,8 +164,6 @@ type Config struct {
 	// ("tenant/vol" -> array index). It is consulted per lookup and never
 	// iterated, so it cannot leak map order into results.
 	Directory map[string]int
-	// BudgetWindowMs is the admission window length (0 = 10 ms).
-	BudgetWindowMs float64
 	// FaultArrays lists arrays that replay under Fault (fault injection /
 	// rebuild); the rest run healthy.
 	FaultArrays []int
@@ -186,36 +182,6 @@ type Config struct {
 	ReplicaLinkUs float64
 	// ArrayFaults schedules whole-array crashes (at most one per array).
 	ArrayFaults []ArrayFault
-	// FailoverDelayMs is the detection gap between a crash and the
-	// Directory repinning its volumes onto replicas (0 = 2 ms). Requests
-	// arriving in the gap fail.
-	FailoverDelayMs float64
-	// RereplicateMBps caps each background re-replication copy stream
-	// (0 = 200), paced with the rebuild engine's interval model.
-	RereplicateMBps float64
-	// Migrations schedules live volume migrations (drain → copy → flip).
-	Migrations []Migration
-	// MigrateMBps caps migration copy streams (0 = RereplicateMBps).
-	MigrateMBps float64
-	// LinkFaults degrade the replication link into specific arrays.
-	LinkFaults []LinkSlowdown
-	// ResyncMBps models the crash-consistency resync a recovering array
-	// must run before serving again: a timed-crash array stays down past
-	// its nominal recovery instant for resyncBytes / ResyncMBps, where the
-	// scope depends on IntentJournal. <= 0 disables the modeled resync —
-	// the pre-crash-consistency behavior, in which a recovered array
-	// returns magically consistent (kept for byte-identical legacy runs).
-	ResyncMBps float64
-	// IntentJournal scopes the modeled resync to the write backlog of the
-	// journal's open-intent horizon before the crash (the dirty-stripe
-	// list); off, the recovering array must walk every hosted byte — the
-	// full-scrub window of vulnerability.
-	IntentJournal bool
-	// DeadlineMs is the availability deadline: a settled request counts as
-	// available when its client latency is within this many milliseconds
-	// (0 = any settled request counts). Failed and rejected requests are
-	// never available.
-	DeadlineMs float64
 	// Chaos seeds deterministic fleet-level adversity (crashes, link
 	// slowdowns, correlated GC storms) compiled into the plans above.
 	Chaos ChaosPlan
@@ -230,13 +196,6 @@ type Config struct {
 	Warmup *gcsteering.Warmup
 }
 
-func (c Config) vnodes() int {
-	if c.VNodes <= 0 {
-		return 64
-	}
-	return c.VNodes
-}
-
 func (c Config) workers() int {
 	if c.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -244,59 +203,10 @@ func (c Config) workers() int {
 	return c.Workers
 }
 
-func (c Config) windowNs() int64 {
-	ms := c.BudgetWindowMs
-	if ms <= 0 {
-		ms = 10
-	}
-	return int64(ms * float64(sim.Millisecond))
-}
-
-// failoverDelayMs resolves the crash-detection gap (default 2 ms).
-func (c Config) failoverDelayMs() float64 {
-	if c.FailoverDelayMs <= 0 {
-		return 2
-	}
-	return c.FailoverDelayMs
-}
-
-func (c Config) failoverDelay() sim.Time {
-	return sim.Time(c.failoverDelayMs() * float64(sim.Millisecond))
-}
-
-// rereplicateMBps resolves the re-replication bandwidth cap (default 200).
-func (c Config) rereplicateMBps() float64 {
-	if c.RereplicateMBps <= 0 {
-		return 200
-	}
-	return c.RereplicateMBps
-}
-
-// migrateMBps resolves the migration bandwidth cap.
-func (c Config) migrateMBps() float64 {
-	if c.MigrateMBps <= 0 {
-		return c.rereplicateMBps()
-	}
-	return c.MigrateMBps
-}
-
-// deadlineNs resolves the availability deadline (0 = none).
-func (c Config) deadlineNs() int64 {
-	if c.DeadlineMs <= 0 {
-		return 0
-	}
-	return int64(c.DeadlineMs * float64(sim.Millisecond))
-}
-
 // Validate reports configuration errors before any shard is built.
 func (c Config) Validate() error {
 	if c.Arrays < 2 {
 		return fmt.Errorf("cluster: Arrays %d too few (need >= 2 for replica placement)", c.Arrays)
-	}
-	if c.VNodes < 0 {
-		// 0 means "use the default"; an explicit negative count would build
-		// an empty placement ring whose lookups could never spread keys.
-		return fmt.Errorf("cluster: VNodes %d negative (0 selects the default of 64)", c.VNodes)
 	}
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("cluster: no tenants")
@@ -322,77 +232,40 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cluster: Directory[%q] = %d out of range [0,%d)", k, a, c.Arrays)
 		}
 	}
-	if c.ReplicaLinkUs < 0 || math.IsNaN(c.ReplicaLinkUs) || math.IsInf(c.ReplicaLinkUs, 0) {
-		return fmt.Errorf("cluster: ReplicaLinkUs %v invalid", c.ReplicaLinkUs)
-	}
-	for _, v := range []float64{c.FailoverDelayMs, c.RereplicateMBps, c.MigrateMBps, c.DeadlineMs} {
-		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("cluster: failover/copy/deadline knobs must be finite and non-negative")
-		}
-	}
 	seenFault := make([]bool, c.Arrays)
 	for _, f := range c.ArrayFaults {
 		if f.Array < 0 || f.Array >= c.Arrays {
 			return fmt.Errorf("cluster: ArrayFaults entry %d out of range [0,%d)", f.Array, c.Arrays)
-		}
-		if f.AtMs < 0 || f.DowntimeMs < 0 {
-			return fmt.Errorf("cluster: array %d fault times must be non-negative", f.Array)
 		}
 		if seenFault[f.Array] {
 			return fmt.Errorf("cluster: array %d has more than one whole-array fault", f.Array)
 		}
 		seenFault[f.Array] = true
 	}
-	for _, l := range c.LinkFaults {
-		if l.Array < 0 || l.Array >= c.Arrays {
-			return fmt.Errorf("cluster: LinkFaults entry %d out of range [0,%d)", l.Array, c.Arrays)
-		}
+	// Every ms/µs field must convert to engine time inside sim.Horizon, as
+	// in gcsteering.Config.Validate, and be non-negative: then no
+	// conversion overflows, and neither does a crash instant plus its
+	// downtime. Written so that NaN fails too.
+	const ms, us = float64(sim.Millisecond), float64(sim.Microsecond)
+	type span struct {
+		name string
+		ns   float64
 	}
-	for _, m := range c.Migrations {
-		ti := -1
-		for i, t := range c.Tenants {
-			if t.Name == m.Tenant {
-				ti = i
-				break
-			}
-		}
-		if ti < 0 {
-			return fmt.Errorf("cluster: migration names unknown tenant %q", m.Tenant)
-		}
-		if m.Volume < 0 || m.Volume >= c.Tenants[ti].volumes() {
-			return fmt.Errorf("cluster: migration volume %s/%d out of range", m.Tenant, m.Volume)
-		}
-		if m.To < 0 || m.To >= c.Arrays {
-			return fmt.Errorf("cluster: migration target %d out of range [0,%d)", m.To, c.Arrays)
-		}
-		if m.AtMs < 0 {
-			return fmt.Errorf("cluster: migration %s/%d AtMs must be non-negative", m.Tenant, m.Volume)
+	spans := []span{{"ReplicaLinkUs", c.ReplicaLinkUs * us},
+		{"Chaos.CrashDowntimeMs", c.Chaos.CrashDowntimeMs * ms},
+		{"Chaos.LinkExtraUs", c.Chaos.LinkExtraUs * us}, {"Chaos.StormExtraUs", c.Chaos.StormExtraUs * us}}
+	for _, f := range c.ArrayFaults {
+		spans = append(spans, span{"ArrayFaults AtMs", f.AtMs * ms}, span{"ArrayFaults DowntimeMs", f.DowntimeMs * ms})
+	}
+	for _, f := range spans {
+		if !(f.ns >= 0 && f.ns < float64(sim.Horizon)) {
+			return fmt.Errorf("cluster: %s is %v ns, not a finite non-negative duration within the simulation horizon %v", f.name, f.ns, sim.Horizon)
 		}
 	}
 	if err := c.Chaos.validate(c.Arrays); err != nil {
 		return err
 	}
-	if err := c.Base.Validate(); err != nil {
-		return err
-	}
-	// A copy job moves one volume (at most an array's capacity) in
-	// copyChunk-sized transfers, and a resync walks a recovering array's
-	// scope, sized here by one array's capacity; each paced interval must
-	// stay within sim.Horizon.
-	capacity := c.Base.Capacity()
-	caps := []struct {
-		name  string
-		bytes int64
-		mbps  float64
-	}{{"RereplicateMBps", copyChunk(capacity), c.RereplicateMBps},
-		{"MigrateMBps", copyChunk(capacity), c.MigrateMBps},
-		{"ResyncMBps", capacity, c.ResyncMBps}}
-	for _, p := range caps {
-		if err := rebuild.CheckPace(p.bytes, p.mbps); err != nil {
-			return fmt.Errorf("cluster: %s %w", p.name, err)
-		}
-	}
-	return nil
+	return c.Base.Validate()
 }
 
 // placedReq is one admitted request resolved to its volume.
@@ -546,11 +419,10 @@ func (c Config) admit(capacity int64, tr *obs.Tracer) ([]placedReq, []int64, err
 		return all[i].tenant < all[j].tenant
 	})
 
-	// Windowed admission: each tenant may admit budget() requests per
-	// BudgetWindowMs window; the rest are shed before routing. The budget
-	// is policy-independent so a hash-vs-steering comparison isolates the
-	// routing decision.
-	windowNs := c.windowNs()
+	// Windowed admission: each tenant may admit its class's budget of
+	// requests per budgetWindow; the rest are shed before routing. The
+	// budget is policy-independent so a hash-vs-steering comparison
+	// isolates the routing decision.
 	shed := make([]int64, len(c.Tenants))
 	lastWin := make([]int64, len(c.Tenants))
 	inWin := make([]int, len(c.Tenants))
@@ -559,9 +431,9 @@ func (c Config) admit(capacity int64, tr *obs.Tracer) ([]placedReq, []int64, err
 	}
 	admitted := all[:0]
 	for i, pr := range all {
-		b := c.Tenants[pr.tenant].budget()
+		b := c.Tenants[pr.tenant].QoS.budget()
 		if b > 0 {
-			w := int64(pr.rec.Timestamp) / windowNs
+			w := int64(pr.rec.Timestamp / budgetWindow)
 			if w != lastWin[pr.tenant] {
 				lastWin[pr.tenant] = w
 				inWin[pr.tenant] = 0

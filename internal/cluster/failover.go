@@ -1,8 +1,8 @@
 // failover.go is the cluster's failure-domain machinery: whole-array fault
 // plans, synchronous write replication with a completion barrier, Directory
 // failover (repinning a crashed array's volumes onto their replicas), paced
-// background copy jobs (re-replication after a crash, live volume
-// migration), and the offline router that sweeps the admitted request
+// background copy jobs (re-replication after a crash, failback after a
+// recovery), and the offline router that sweeps the admitted request
 // stream through all of it.
 //
 // The router is deliberately offline and single-threaded: cluster state
@@ -39,28 +39,14 @@ type ArrayFault struct {
 // permanent reports whether the array never comes back.
 func (f ArrayFault) permanent() bool { return f.DowntimeMs <= 0 }
 
-// LinkSlowdown degrades the replication link into one array: replica and
+// linkSlowdown degrades the replication link into one array: replica and
 // mirror legs targeting Array pay ExtraUs on top of the base link latency
-// while the window is open.
-type LinkSlowdown struct {
+// while the window is open. Only a ChaosPlan compiles them.
+type linkSlowdown struct {
 	Array      int
 	StartMs    float64
 	DurationMs float64
 	ExtraUs    float64
-}
-
-// Migration moves one volume to a new array at a scheduled instant: the
-// copy job streams the volume's bytes at MigrateMBps while the old
-// placement keeps serving (writes are mirrored to the destination), and
-// when the copy drains the placement flips. Requests in flight at the
-// cutover complete on the array they were routed to.
-type Migration struct {
-	// Tenant names the owning tenant; Volume is its volume index.
-	Tenant string
-	Volume int
-	// To is the destination array; AtMs the copy start.
-	To   int
-	AtMs float64
 }
 
 // Leg roles: every admitted request lowers to one serving leg plus,
@@ -76,8 +62,7 @@ const (
 
 // Copy-job kinds select what flips at cutover.
 const (
-	jobMigrate  = iota // volume migration: primary moves to job.to
-	jobRerepl          // replica refresh / spare copy: redundancy restored
+	jobRerepl   = iota // replica refresh / spare copy: redundancy restored
 	jobFailback        // copy-back to a recovered home primary
 )
 
@@ -102,8 +87,8 @@ type volState struct {
 	job *copyJob
 }
 
-// copyJob is one paced background copy stream (re-replication, failback,
-// or migration), lowered to chunk read/write legs on the source and
+// copyJob is one paced background copy stream (re-replication or
+// failback), lowered to chunk read/write legs on the source and
 // destination shards at rebuild.PaceInterval spacing.
 type copyJob struct {
 	id        int
@@ -117,8 +102,7 @@ type copyJob struct {
 	// streams, so the copied image stays consistent (off for replica
 	// refreshes, whose writes already replicate normally).
 	mirror bool
-	fault  int // FailureEvent index, -1
-	mig    int // MigrationEvent index, -1
+	fault  int // FailureEvent index
 }
 
 // Domain-event kinds, processed in (at, seq) order interleaved with the
@@ -127,24 +111,8 @@ const (
 	evCrash = iota
 	evFailover
 	evRecover
-	evMigrate
 	evCutover
-	// evResyncDone ends a recovering array's crash-consistency resync:
-	// only then does the array serve again (Config.ResyncMBps).
-	evResyncDone
 )
-
-// journalWindow is the open-intent horizon the cluster-level resync model
-// assumes for a journaled array: a crash can leave dirty at most the
-// stripes written in roughly this span, so the journal-on resync scope is
-// the array's trailing write volume over it.
-const journalWindow = 10 * sim.Millisecond
-
-// winEntry is one write-volume sample in an array's trailing window.
-type winEntry struct {
-	t     sim.Time
-	bytes int64
-}
 
 // domainEvent is one scheduled cluster-state transition.
 type domainEvent struct {
@@ -153,7 +121,6 @@ type domainEvent struct {
 	kind  int
 	array int
 	fault int // index into eff.faults / router.faults
-	mig   int // index into Config.Migrations
 	job   *copyJob
 }
 
@@ -194,41 +161,34 @@ type shardRec struct {
 // plans the shards replay under.
 type effectivePlan struct {
 	faults []ArrayFault
-	links  []LinkSlowdown
+	links  []linkSlowdown
 	plans  []gcsteering.FaultPlan
 }
 
 // resolve merges the explicit fault configuration with the compiled chaos
 // plan and validates the combination. admitted is only read for the chaos
-// horizon default (the span of the workload).
+// horizon (the span of the workload).
 func (c Config) resolve(admitted []placedReq) (effectivePlan, error) {
 	e := effectivePlan{plans: make([]gcsteering.FaultPlan, c.Arrays)}
 	for _, a := range c.FaultArrays {
 		e.plans[a] = c.Fault
 	}
 	e.faults = append([]ArrayFault(nil), c.ArrayFaults...)
-	e.links = append([]LinkSlowdown(nil), c.LinkFaults...)
 	if c.Chaos.Enabled() {
-		horizonMs := c.Chaos.HorizonMs
-		if horizonMs <= 0 {
-			var last sim.Time
-			for _, pr := range admitted {
-				if pr.rec.Timestamp > last {
-					last = pr.rec.Timestamp
-				}
-			}
-			horizonMs = float64(last) / float64(sim.Millisecond)
-			if horizonMs < 1 {
-				horizonMs = 1
+		var last sim.Time
+		for _, pr := range admitted {
+			if pr.rec.Timestamp > last {
+				last = pr.rec.Timestamp
 			}
 		}
+		horizonMs := max(1, float64(last)/float64(sim.Millisecond))
 		taken := make([]bool, c.Arrays)
 		for _, f := range e.faults {
 			taken[f.Array] = true
 		}
 		faults, links, storms := c.Chaos.compile(c.Arrays, c.Base.Disks, horizonMs, taken)
 		e.faults = append(e.faults, faults...)
-		e.links = append(e.links, links...)
+		e.links = links
 		for a, ss := range storms {
 			if len(ss) > 0 {
 				// Copy-on-append: plans[a] may alias c.Fault.Slowdowns
@@ -280,24 +240,16 @@ type router struct {
 	routes     []reqRoute
 	jobs       []*copyJob
 	faults     []FailureEvent
-	migs       []MigrationEvent
 	diverted   []int64
 	replicated int64
 	linkNs     int64
-
-	// Crash-consistency resync model (Config.ResyncMBps > 0): per-array
-	// trailing write-volume windows feeding the journal-on resync scope,
-	// and the scope captured at each crash.
-	wWin        [][]winEntry
-	resyncBytes []int64
 }
 
 // legacyRouting reports whether the PR-6 stale-signal diversion applies
-// unchanged: no replication, no cluster-level faults, no migrations, no
-// chaos — the regime all pre-existing steering behavior was pinned in.
+// unchanged: no replication, no cluster-level faults, no chaos — the
+// regime all pre-existing steering behavior was pinned in.
 func (c Config) legacyRouting() bool {
-	return !c.ReplicateWrites && len(c.ArrayFaults) == 0 && len(c.Migrations) == 0 &&
-		len(c.LinkFaults) == 0 && !c.Chaos.Enabled()
+	return !c.ReplicateWrites && len(c.ArrayFaults) == 0 && !c.Chaos.Enabled()
 }
 
 // newRouter builds the volume table (in tenant-then-volume order — never
@@ -307,7 +259,7 @@ func newRouter(c *Config, eff effectivePlan, capacity int64) *router {
 		c:        c,
 		eff:      eff,
 		capacity: capacity,
-		ringP:    newRing(c.Arrays, c.vnodes()),
+		ringP:    newRing(c.Arrays, vnodes),
 		legacy:   c.legacyRouting(),
 		down:     make([]bool, c.Arrays),
 		downAt:   make([]sim.Time, c.Arrays),
@@ -316,10 +268,6 @@ func newRouter(c *Config, eff effectivePlan, capacity int64) *router {
 		recs:     make([][]shardRec, c.Arrays),
 		diverted: make([]int64, c.Arrays),
 		linkNs:   int64(c.ReplicaLinkUs * float64(sim.Microsecond)),
-	}
-	if c.ResyncMBps > 0 {
-		rt.wWin = make([][]winEntry, c.Arrays)
-		rt.resyncBytes = make([]int64, c.Arrays)
 	}
 	for a := 0; a < c.Arrays; a++ {
 		rt.downAt[a] = noCrash
@@ -357,19 +305,13 @@ func newRouter(c *Config, eff effectivePlan, capacity int64) *router {
 			DowntimeMs: f.DowntimeMs,
 			SpareArray: -1,
 		})
-		rt.push(domainEvent{at: at, kind: evCrash, array: f.Array, fault: fi, mig: -1})
-		rt.push(domainEvent{at: at + c.failoverDelay(), kind: evFailover, array: f.Array, fault: fi, mig: -1})
+		rt.push(domainEvent{at: at, kind: evCrash, array: f.Array, fault: fi})
+		rt.push(domainEvent{at: at + failoverDelay, kind: evFailover, array: f.Array, fault: fi})
 		if !f.permanent() {
 			up := at + sim.Time(f.DowntimeMs*float64(sim.Millisecond))
 			rt.upAt[f.Array] = up
-			rt.push(domainEvent{at: up, kind: evRecover, array: f.Array, fault: fi, mig: -1})
+			rt.push(domainEvent{at: up, kind: evRecover, array: f.Array, fault: fi})
 		}
-	}
-	for mi, m := range c.Migrations {
-		rt.push(domainEvent{
-			at:   sim.Time(m.AtMs * float64(sim.Millisecond)),
-			kind: evMigrate, array: m.To, fault: -1, mig: mi,
-		})
 	}
 	return rt
 }
@@ -411,34 +353,14 @@ func (rt *router) advance(t sim.Time) {
 			rt.failover(ev)
 		case evRecover:
 			rt.recover(ev)
-		case evMigrate:
-			rt.migrate(ev)
 		case evCutover:
 			rt.cutover(ev)
-		case evResyncDone:
-			rt.resyncDone(ev)
 		}
 	}
 }
 
 func (rt *router) crash(ev domainEvent) {
 	rt.down[ev.array] = true
-	if rt.resyncBytes != nil && !rt.eff.faults[ev.fault].permanent() {
-		// Capture the resync scope at the cut: a journaled array owes only
-		// its open-intent backlog (trailing write volume); an unjournaled
-		// one owes every byte it hosts — primaries and replica copies.
-		if rt.c.IntentJournal {
-			rt.resyncBytes[ev.array] = rt.windowBytes(ev.array, ev.at)
-		} else {
-			var hosted int64
-			for _, v := range rt.vols {
-				if v.primary == ev.array || v.replica == ev.array {
-					hosted += v.bytes
-				}
-			}
-			rt.resyncBytes[ev.array] = hosted
-		}
-	}
 	if rt.tr.Enabled() {
 		perm := int64(0)
 		if rt.eff.faults[ev.fault].permanent() {
@@ -447,44 +369,6 @@ func (rt *router) crash(ev domainEvent) {
 		rt.tr.Emit(ev.at, obs.Event{Kind: obs.KClusterArrayDown, Dev: int32(ev.array),
 			Page: -1, Aux: perm})
 	}
-}
-
-// noteWrite records a write leg landing on an array, feeding the
-// trailing-window deque the journal-on resync scope is read from. Legs to
-// a down array never land, so they owe no resync.
-func (rt *router) noteWrite(a int, t sim.Time, bytes int64) {
-	if rt.wWin == nil || rt.down[a] {
-		return
-	}
-	w := append(rt.wWin[a], winEntry{t: t, bytes: bytes})
-	cut := t - journalWindow
-	i := 0
-	for i < len(w) && w[i].t < cut {
-		i++
-	}
-	rt.wWin[a] = w[i:]
-}
-
-// windowBytes sums the write volume that landed on the array within the
-// trailing journal window ending at the cut — the open-intent backlog a
-// journaled remount must resync. Replica legs arrive with link-delayed
-// timestamps, so entries are filtered by time, not deque position.
-func (rt *router) windowBytes(a int, at sim.Time) int64 {
-	var sum int64
-	for _, e := range rt.wWin[a] {
-		if e.t >= at-journalWindow && e.t <= at {
-			sum += e.bytes
-		}
-	}
-	rt.wWin[a] = rt.wWin[a][:0]
-	return sum
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // failover repins the crashed array's volumes onto their replicas. Without
@@ -510,7 +394,7 @@ func (rt *router) failover(ev domainEvent) {
 			repinned++
 			if perm {
 				spare := rt.ringP.replicaExcluding(v.key, v.primary, ev.array)
-				rt.startJob(v, jobRerepl, v.primary, spare, v.bytes, true, ev.fault, -1, ev.at)
+				rt.startJob(v, jobRerepl, v.primary, spare, v.bytes, true, ev.fault, ev.at)
 				if f.SpareArray < 0 {
 					f.SpareArray = spare
 				}
@@ -523,51 +407,23 @@ func (rt *router) failover(ev domainEvent) {
 				// image, and diversion stays off until it drains.
 				v.replica = rt.ringP.replicaExcluding(v.key, v.primary, ev.array)
 				v.dirtyBytes = 0
-				rt.startJob(v, jobRerepl, v.primary, v.replica, v.bytes, false, ev.fault, -1, ev.at)
+				rt.startJob(v, jobRerepl, v.primary, v.replica, v.bytes, false, ev.fault, ev.at)
 			}
 			// Timed crash: writes accumulate dirtyBytes until recovery.
 		}
 	}
 	f.RepinnedVolumes = repinned
-	f.FailoverMs = rt.c.failoverDelayMs()
+	f.FailoverMs = float64(failoverDelay) / float64(sim.Millisecond)
 	if rt.tr.Enabled() {
 		rt.tr.Emit(ev.at, obs.Event{Kind: obs.KClusterFailover, Dev: int32(ev.array),
-			Page: -1, Aux: int64(repinned), Aux2: int64(rt.c.failoverDelay())})
+			Page: -1, Aux: int64(repinned), Aux2: int64(failoverDelay)})
 	}
 }
 
-// recover fires at a timed-crash array's nominal power-on. With the
-// crash-consistency model on (Config.ResyncMBps) the array is NOT
-// consistent yet: it stays down while the resync walks its scope, and
-// only evResyncDone lets it serve. Without the model, recovery is
-// immediate (the legacy magically-consistent behavior).
-func (rt *router) recover(ev domainEvent) {
-	if rt.resyncBytes != nil {
-		bytes := rt.resyncBytes[ev.array]
-		dur := rebuild.PaceInterval(bytes, rt.c.ResyncMBps)
-		f := &rt.faults[ev.fault]
-		f.ResyncBytes = bytes
-		f.ResyncMs = float64(dur) / float64(sim.Millisecond)
-		f.DowntimeMs += f.ResyncMs
-		rt.push(domainEvent{at: ev.at + dur, kind: evResyncDone, array: ev.array, fault: ev.fault, mig: -1})
-		return
-	}
-	rt.serveAgain(ev)
-}
-
-// resyncDone ends the remount resync: the array is consistent and serves.
-func (rt *router) resyncDone(ev domainEvent) {
-	if rt.tr.Enabled() {
-		rt.tr.Emit(ev.at, obs.Event{Kind: obs.KResyncDone, Dev: int32(ev.array), Page: -1,
-			Aux: rt.resyncBytes[ev.array], Aux2: int64(boolToInt(rt.c.IntentJournal))})
-	}
-	rt.serveAgain(ev)
-}
-
-// serveAgain brings a timed-crash array back: clean repinned volumes flip
+// recover brings a timed-crash array back: clean repinned volumes flip
 // home instantly, dirty ones stream their backlog back first, and volumes
 // whose replica was down refresh it.
-func (rt *router) serveAgain(ev domainEvent) {
+func (rt *router) recover(ev domainEvent) {
 	rt.down[ev.array] = false
 	if rt.tr.Enabled() {
 		rt.tr.Emit(ev.at, obs.Event{Kind: obs.KClusterArrayUp, Dev: int32(ev.array), Page: -1})
@@ -591,34 +447,13 @@ func (rt *router) serveAgain(ev domainEvent) {
 			}
 			bytes := v.dirtyBytes
 			v.dirtyBytes = 0
-			rt.startJob(v, jobFailback, v.primary, v.homePrimary, bytes, true, ev.fault, -1, ev.at)
+			rt.startJob(v, jobFailback, v.primary, v.homePrimary, bytes, true, ev.fault, ev.at)
 		case !v.degraded && v.replica == ev.array && v.dirtyBytes > 0 && v.job == nil:
 			bytes := v.dirtyBytes
 			v.dirtyBytes = 0
-			rt.startJob(v, jobRerepl, v.primary, ev.array, bytes, false, ev.fault, -1, ev.at)
+			rt.startJob(v, jobRerepl, v.primary, ev.array, bytes, false, ev.fault, ev.at)
 		}
 	}
-}
-
-// migrate launches a live volume migration: the copy job streams the
-// volume while the old placement serves, mirroring writes to the
-// destination; cutover flips the placement when the copy drains.
-//
-// Episodic: runs once per configured migration event, never per request, so
-// its allocations are outside the hot-path allocation budget.
-//
-//gcsvet:cold
-func (rt *router) migrate(ev domainEvent) {
-	m := rt.c.Migrations[ev.mig]
-	v := rt.volByKey(fmt.Sprintf("%s/%d", m.Tenant, m.Volume))
-	if v == nil || v.job != nil || v.primary == m.To || rt.down[v.primary] || rt.down[m.To] {
-		return // already there, busy, or an endpoint is down: skip
-	}
-	rt.migs = append(rt.migs, MigrationEvent{
-		Volume: v.key, From: v.primary, To: m.To,
-		StartMs: float64(ev.at) / float64(sim.Millisecond),
-	})
-	rt.startJob(v, jobMigrate, v.primary, m.To, v.bytes, true, -1, len(rt.migs)-1, ev.at)
 }
 
 // cutover applies a drained copy job's placement flip.
@@ -629,19 +464,7 @@ func (rt *router) cutover(ev domainEvent) {
 		return
 	}
 	v.job = nil
-	aux2 := int64(1)
 	switch job.kind {
-	case jobMigrate:
-		old := v.primary
-		v.primary = job.to
-		if v.replica == job.to {
-			v.replica = old
-		}
-		v.homePrimary, v.homeReplica = v.primary, v.replica
-		if job.mig >= 0 {
-			rt.migs[job.mig].CutoverMs = float64(ev.at) / float64(sim.Millisecond)
-		}
-		aux2 = 0
 	case jobFailback:
 		v.primary = v.homePrimary
 		v.replica = v.homeReplica
@@ -652,19 +475,8 @@ func (rt *router) cutover(ev domainEvent) {
 	}
 	if rt.tr.Enabled() {
 		rt.tr.Emit(ev.at, obs.Event{Kind: obs.KClusterCutover, Dev: int32(job.to),
-			Page: -1, Aux: int64(job.from), Aux2: aux2, Note: v.key})
+			Page: -1, Aux: int64(job.from), Aux2: 1, Note: v.key})
 	}
-}
-
-// volByKey finds a volume by key with a linear scan — migrations are rare
-// scheduled events, so no lookup map is needed (and none can leak order).
-func (rt *router) volByKey(key string) *volState {
-	for _, v := range rt.vols {
-		if v.key == key {
-			return v
-		}
-	}
-	return nil
 }
 
 // copyChunk sizes one paced transfer: 256 KiB chunks, coarsened so no job
@@ -683,31 +495,25 @@ func copyChunk(bytes int64) int64 {
 // startJob creates a copy job, lowers it to paced chunk read/write legs on
 // the source and destination shards, and schedules its cutover.
 //
-// Episodic: one job per fault/migration domain event; the job struct and its
-// chunk legs are the work itself, not per-request overhead.
+// Episodic: one job per fault domain event; the job struct and its chunk
+// legs are the work itself, not per-request overhead.
 //
 //gcsvet:cold
-func (rt *router) startJob(v *volState, kind, from, to int, bytes int64, mirror bool, fault, mig int, now sim.Time) {
+func (rt *router) startJob(v *volState, kind, from, to int, bytes int64, mirror bool, fault int, now sim.Time) {
 	if bytes < 4096 {
 		bytes = 4096
 	}
-	mbps := rt.c.rereplicateMBps()
-	if kind == jobMigrate {
-		mbps = rt.c.migrateMBps()
-	}
 	chunk := copyChunk(bytes)
 	chunks := (bytes + chunk - 1) / chunk
-	interval := rebuild.PaceInterval(chunk, mbps)
+	interval := rebuild.PaceInterval(chunk, rereplicateMBps)
 	job := &copyJob{
 		id: len(rt.jobs), vol: v, kind: kind, from: from, to: to,
 		start: now, cutoverAt: now + sim.Time(chunks)*interval,
-		bytes: bytes, mirror: mirror, fault: fault, mig: mig,
+		bytes: bytes, mirror: mirror, fault: fault,
 	}
 	v.job = job
 	rt.jobs = append(rt.jobs, job)
-	if fault >= 0 {
-		rt.faults[fault].RereplicatedBytes += bytes
-	}
+	rt.faults[fault].RereplicatedBytes += bytes
 	if rt.tr.Enabled() {
 		rt.tr.Emit(now, obs.Event{Kind: obs.KClusterCopyStart, Dev: int32(to),
 			Page: -1, Aux: int64(from), Aux2: bytes, Note: v.key})
@@ -732,7 +538,7 @@ func (rt *router) startJob(v *volState, kind, from, to int, bytes int64, mirror 
 		meta.role = roleCopyWrite
 		rt.recs[to] = append(rt.recs[to], shardRec{rec: wrec, meta: meta})
 	}
-	rt.push(domainEvent{at: job.cutoverAt, kind: evCutover, fault: fault, mig: mig, job: job})
+	rt.push(domainEvent{at: job.cutoverAt, kind: evCutover, fault: fault, job: job})
 }
 
 // linkDelayNs is the replication-link latency into array at instant t:
@@ -808,7 +614,6 @@ func (rt *router) route(admitted []placedReq, busy []busyTimeline, tr *obs.Trace
 			continue
 		}
 		size := int64(pr.rec.Size)
-		rt.noteWrite(target, t, size)
 		if rt.c.ReplicateWrites && !v.degraded && v.replica != v.primary {
 			if rt.down[v.replica] {
 				v.dirtyBytes += size
@@ -821,7 +626,6 @@ func (rt *router) route(admitted []placedReq, busy []busyTimeline, tr *obs.Trace
 					rid: int64(i), job: -1, tenant: int32(pr.tenant),
 					write: true, role: roleReplica, linkNs: link,
 				}})
-				rt.noteWrite(v.replica, rrec.Timestamp, size)
 				rt.replicated++
 				if tr.Enabled() {
 					tr.Emit(t, obs.Event{Kind: obs.KClusterReplicate, Dev: int32(v.replica),

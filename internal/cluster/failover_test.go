@@ -75,11 +75,9 @@ func TestFailoverRestoresRedundancy(t *testing.T) {
 		Tenants:         tinyTenants(6, 150),
 		ReplicateWrites: true,
 		ReplicaLinkUs:   20,
-		// Crash inside the workload's dense opening burst, with a detection
-		// gap wide enough to deterministically catch arrivals before the
-		// Directory repin.
-		FailoverDelayMs: 50,
-		ArrayFaults:     []ArrayFault{{Array: 2, AtMs: 100}}, // permanent
+		// Crash inside the workload's dense opening burst, so the 2 ms
+		// detection gap catches arrivals before the Directory repin.
+		ArrayFaults: []ArrayFault{{Array: 2, AtMs: 100}}, // permanent
 	}
 	r, err := Run(c)
 	if err != nil {
@@ -173,9 +171,7 @@ func TestTemporaryCrashRecoversWithoutLoss(t *testing.T) {
 
 // TestAvailabilityGapFromReplication pins the headline reliability claim:
 // under the same permanent crash, replicated writes + failover keep a
-// measurably larger fraction of requests answered. (No deadline here:
-// availability is the settled fraction, isolating crash losses from the
-// latency cost of the doubled write load.)
+// measurably larger fraction of requests answered.
 func TestAvailabilityGapFromReplication(t *testing.T) {
 	mk := func(repl bool) Config {
 		return Config{
@@ -203,19 +199,6 @@ func TestAvailabilityGapFromReplication(t *testing.T) {
 		t.Fatalf("replication availability %.4f <= unreplicated %.4f",
 			on.Availability, off.Availability)
 	}
-
-	// And the deadline must actually gate: an absurdly tight deadline
-	// drives availability down even on the replicated fleet.
-	tight := mk(true)
-	tight.DeadlineMs = 0.001
-	rt, err := Run(tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Available >= int64(rt.Latency.Count) {
-		t.Fatalf("1µs deadline gated nothing: available %d of %d settled",
-			rt.Available, rt.Latency.Count)
-	}
 }
 
 // TestDirectoryOverrideReplicaFollowsRing is the regression test for the
@@ -238,7 +221,12 @@ func TestDirectoryOverrideReplicaFollowsRing(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt := newRouter(&c, eff, c.Base.Capacity())
-		v := rt.volByKey(key)
+		var v *volState
+		for _, vs := range rt.vols {
+			if vs.key == key {
+				v = vs
+			}
+		}
 		if v == nil {
 			t.Fatal("volume not built")
 		}

@@ -79,24 +79,6 @@ type FailureEvent struct {
 	// work that restored redundancy (longest job, start to drain).
 	RereplicatedBytes int64
 	RereplicationMs   float64
-	// ResyncBytes and ResyncMs describe the remount consistency walk a
-	// timed crash owes before serving again (Config.ResyncMBps runs): the
-	// journal scopes it to the open-intent backlog, otherwise the array
-	// rereads every hosted byte. Zero when the model is off.
-	ResyncBytes int64
-	ResyncMs    float64
-}
-
-// MigrationEvent describes one live volume migration.
-type MigrationEvent struct {
-	Volume   string
-	From, To int
-	// StartMs is the copy start; CutoverMs the placement flip; CopiedBytes
-	// and CopyMs the background stream's volume and duration.
-	StartMs     float64
-	CutoverMs   float64
-	CopiedBytes int64
-	CopyMs      float64
 }
 
 // ClusterResults aggregates one fleet run.
@@ -119,8 +101,10 @@ type ClusterResults struct {
 	// DataLossEvents counts reads whose data had no surviving live copy —
 	// zero whenever ReplicateWrites is on and at most one array is lost.
 	DataLossEvents int64
-	// Available counts requests settled within the deadline; Availability
-	// is Available/Requests. With no deadline every settled request counts.
+	// Available counts settled requests; Availability is
+	// Available/Requests — the fraction of requests answered at all, which
+	// isolates crash losses from the latency cost of the doubled write
+	// load. Failed and rejected requests are never available.
 	Available    int64
 	Availability float64
 	// WOV sums window-of-vulnerability time across arrays.
@@ -133,10 +117,8 @@ type ClusterResults struct {
 	// Tenants and PerArray are indexed by tenant / array order.
 	Tenants  []TenantResults
 	PerArray []ArrayResults
-	// Failures and Migrations report the run's failure-domain events in
-	// schedule order.
-	Failures   []FailureEvent
-	Migrations []MigrationEvent
+	// Failures reports the run's whole-array crashes in schedule order.
+	Failures []FailureEvent
 }
 
 // WorstTenantP99 returns the highest per-tenant P99 (ns) — the fleet's
@@ -192,19 +174,10 @@ func (r *ClusterResults) String() string {
 		if f.Permanent {
 			kind = "permanent"
 		}
-		fmt.Fprintf(&b, "  failure array=%d %s at=%.1fms failover=%.1fms repinned=%d spare=%d failed=%d loss=%d rerepl=%.1fMB/%.1fms",
+		fmt.Fprintf(&b, "  failure array=%d %s at=%.1fms failover=%.1fms repinned=%d spare=%d failed=%d loss=%d rerepl=%.1fMB/%.1fms\n",
 			f.Array, kind, f.DownAtMs, f.FailoverMs, f.RepinnedVolumes, f.SpareArray,
 			f.FailedRequests, f.DataLossReads,
 			float64(f.RereplicatedBytes)/1e6, f.RereplicationMs)
-		if f.ResyncMs > 0 {
-			fmt.Fprintf(&b, " resync=%.1fMB/%.1fms", float64(f.ResyncBytes)/1e6, f.ResyncMs)
-		}
-		fmt.Fprintln(&b)
-	}
-	for _, m := range r.Migrations {
-		fmt.Fprintf(&b, "  migration %s %d->%d start=%.1fms cutover=%.1fms copied=%.1fMB/%.1fms\n",
-			m.Volume, m.From, m.To, m.StartMs, m.CutoverMs,
-			float64(m.CopiedBytes)/1e6, m.CopyMs)
 	}
 	return b.String()
 }
@@ -222,7 +195,6 @@ func (c Config) aggregate(admitted []placedReq, shed []int64, rt *router, result
 		Tenants:    make([]TenantResults, len(c.Tenants)),
 		PerArray:   make([]ArrayResults, c.Arrays),
 		Failures:   append([]FailureEvent(nil), rt.faults...),
-		Migrations: append([]MigrationEvent(nil), rt.migs...),
 	}
 	for ti, t := range c.Tenants {
 		out.Tenants[ti].Name = t.Name
@@ -256,7 +228,6 @@ func (c Config) aggregate(admitted []placedReq, shed []int64, rt *router, result
 		return start < downAt && start+sim.Time(lat) > downAt
 	}
 
-	deadline := c.deadlineNs()
 	var lat, readLat metrics.Hist
 	tenantLat := make([]metrics.Hist, len(c.Tenants))
 	tenantRead := make([]metrics.Hist, len(c.Tenants))
@@ -356,9 +327,7 @@ func (c Config) aggregate(admitted []placedReq, shed []int64, rt *router, result
 			readLat.Observe(final)
 			tenantRead[r.tenant].Observe(final)
 		}
-		if deadline == 0 || final <= deadline {
-			out.Available++
-		}
+		out.Available++
 	}
 	out.Availability = float64(out.Available) / float64(max64(1, out.Requests))
 
@@ -388,14 +357,8 @@ func (c Config) aggregate(admitted []placedReq, shed []int64, rt *router, result
 	}
 	for j, job := range rt.jobs {
 		durMs := float64(jobDone[j]-job.start) / float64(sim.Millisecond)
-		if job.fault >= 0 && durMs > out.Failures[job.fault].RereplicationMs {
+		if durMs > out.Failures[job.fault].RereplicationMs {
 			out.Failures[job.fault].RereplicationMs = durMs
-		}
-		if job.mig >= 0 {
-			out.Migrations[job.mig].CopiedBytes += job.bytes
-			if durMs > out.Migrations[job.mig].CopyMs {
-				out.Migrations[job.mig].CopyMs = durMs
-			}
 		}
 	}
 	for a := 0; a < c.Arrays; a++ {

@@ -20,7 +20,6 @@ type chaosScenario struct {
 	name   string
 	faults []cluster.ArrayFault
 	plan   cluster.ChaosPlan
-	migs   []cluster.Migration
 }
 
 // chaosScenarios are the three adversity regimes:
@@ -70,13 +69,7 @@ func chaosConfig(o Options, sc chaosScenario, replicate bool) cluster.Config {
 		Tenants:         tenants(o, chaosTenants, []string{"Fin1", "hm_0", "HPC_W", "prxy_0"}, 1),
 		ReplicateWrites: replicate,
 		ReplicaLinkUs:   50,
-		// No deadline — availability is the fraction of requests answered at
-		// all, isolating crash losses from the latency cost of the doubled
-		// write load — and a gentle re-replication cap so background copies
-		// restore redundancy without flooding the spare array.
-		RereplicateMBps: 50,
 		ArrayFaults:     sc.faults,
-		Migrations:      sc.migs,
 		Chaos:           sc.plan,
 	}
 }

@@ -185,13 +185,13 @@ const (
 	KClusterFailover
 	// KClusterArrayUp is a crashed array recovering. dev = array.
 	KClusterArrayUp
-	// KClusterCopyStart begins a background copy job (volume migration or
-	// re-replication). dev = destination array, aux = source array,
+	// KClusterCopyStart begins a background copy job (re-replication or
+	// failback). dev = destination array, aux = source array,
 	// aux2 = bytes to copy. note = volume key.
 	KClusterCopyStart
 	// KClusterCutover flips a volume's placement after its copy job
-	// drains. dev = destination array, aux = source array, aux2 = 0 for a
-	// migration, 1 for re-replication. note = volume key.
+	// drains, or at once when a clean volume fails back. dev = destination
+	// array, aux = source array, aux2 = 1. note = volume key.
 	KClusterCutover
 	// KClusterFailedReq is a request failed because its serving array is
 	// down. dev = down array, aux = tenant index, aux2 = request sequence.
