@@ -143,9 +143,6 @@ type Config struct {
 	// redundancy. <= 0 disables scrubbing.
 	//gcsvet:inert
 	ScrubMBps float64
-	// ScrubPasses is the number of full patrol passes per run (<= 0
-	// defaults to 1; passes are finite so runs always terminate).
-	ScrubPasses int
 
 	// DeadlineUs cancels a user request that has not completed within this
 	// many microseconds of simulated time: its queued sub-ops are absorbed

@@ -708,17 +708,39 @@ func (rt *router) divert(v *volState, rec trace.Record, t sim.Time) bool {
 
 // finish time-sorts every per-array stream (replica and copy legs arrive
 // out of admitted order) and resolves each request's legs against the
-// post-sort sequence numbers the shards will report.
+// post-sort sequence numbers the shards will report. Every route's legs
+// are carved out of one slab at its request's prefix offset, in (array,
+// seq) order, so the sweep allocates the legs once rather than per
+// request.
 //
 // Episodic: once-per-sweep teardown after routing completes.
 //
 //gcsvet:cold
 func (rt *router) finish() {
+	counts := make([]int32, len(rt.routes))
+	total := 0
 	for a := range rt.recs {
 		recs := rt.recs[a]
 		sort.SliceStable(recs, func(i, j int) bool {
 			return recs[i].rec.Timestamp < recs[j].rec.Timestamp
 		})
+		for _, sr := range recs {
+			if sr.meta.rid >= 0 {
+				counts[sr.meta.rid]++
+				total++
+			}
+		}
+	}
+	slab := make([]legRef, total)
+	off := 0
+	for i, n := range counts {
+		if n > 0 {
+			end := off + int(n)
+			rt.routes[i].legs = slab[off:off:end]
+			off = end
+		}
+	}
+	for a, recs := range rt.recs {
 		for seq, sr := range recs {
 			if sr.meta.rid >= 0 {
 				r := &rt.routes[sr.meta.rid]

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"testing"
+
+	"gcsteering/internal/sim"
+	"gcsteering/internal/trace"
 )
 
 // conserve checks the fleet-level request conservation law: every admitted
@@ -246,5 +249,61 @@ func TestDirectoryOverrideReplicaFollowsRing(t *testing.T) {
 	}
 	if !mismatchSeen {
 		t.Fatal("ring walk agreed with (primary+1)%Arrays for every pin; regression not exercised")
+	}
+}
+
+// TestRouterFinishLegsAllocsFlat pins the leg slab: resolving every
+// request's legs allocates per sweep, not per request, so finish costs the
+// same number of allocations at 10 requests as at 5000. It also checks the
+// slab keeps each request's legs in (array, seq) order and pointing back at
+// the request.
+func TestRouterFinishLegsAllocsFlat(t *testing.T) {
+	const arrays = 3
+	build := func(reqs int) *router {
+		rt := &router{recs: make([][]shardRec, arrays), routes: make([]reqRoute, reqs)}
+		for i := 0; i < reqs; i++ {
+			at := sim.Time(i) * 10
+			// A serving leg, a replica leg that lands on the next array
+			// later, and every fourth request a background copy leg.
+			a := i % arrays
+			rt.recs[a] = append(rt.recs[a], shardRec{rec: trace.Record{Timestamp: at},
+				meta: reqMeta{rid: int64(i), role: rolePrimary}})
+			b := (i + 1) % arrays
+			rt.recs[b] = append(rt.recs[b], shardRec{rec: trace.Record{Timestamp: at + 25},
+				meta: reqMeta{rid: int64(i), role: roleReplica, linkNs: 25}})
+			if i%4 == 0 {
+				rt.recs[a] = append(rt.recs[a], shardRec{rec: trace.Record{Timestamp: at + 3},
+					meta: reqMeta{rid: -1}})
+			}
+		}
+		return rt
+	}
+	allocs := func(reqs int) float64 {
+		rt := build(reqs)
+		n := testing.AllocsPerRun(5, func() {
+			for i := range rt.routes {
+				rt.routes[i].legs = nil
+			}
+			rt.finish()
+		})
+		for i, r := range rt.routes {
+			if len(r.legs) != 2 {
+				t.Fatalf("%d requests: route %d has %d legs, want 2", reqs, i, len(r.legs))
+			}
+			for k, l := range r.legs {
+				if k > 0 && (l.array < r.legs[k-1].array ||
+					l.array == r.legs[k-1].array && l.seq <= r.legs[k-1].seq) {
+					t.Fatalf("%d requests: route %d legs out of (array, seq) order: %+v", reqs, i, r.legs)
+				}
+				if got := rt.recs[l.array][l.seq].meta.rid; got != int64(i) {
+					t.Fatalf("%d requests: route %d leg %+v resolves to rid %d", reqs, i, l, got)
+				}
+			}
+		}
+		return n
+	}
+	small, large := allocs(10), allocs(5000)
+	if large > small {
+		t.Fatalf("finish allocates %v times at 5000 requests, %v at 10: legs allocate per request", large, small)
 	}
 }

@@ -1,8 +1,8 @@
 package cluster
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 )
 
 // FNV-1a 64-bit constants. The hash is implemented inline rather than via
@@ -17,7 +17,7 @@ const (
 // Raw FNV-1a clusters badly on short, similar strings ("array-0#1" vs
 // "array-0#2" differ in a handful of high bits), which would collapse the
 // ring's virtual nodes into one arc; the finalizer spreads them uniformly.
-func fnv64(s string) uint64 {
+func fnv64[S string | []byte](s S) uint64 {
 	h := fnvOffset
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -105,9 +105,12 @@ type ring struct {
 // array index and vnode index.
 func newRing(arrays, vnodes int) *ring {
 	pts := make([]ringPoint, 0, arrays*vnodes)
+	var buf []byte // "array-<a>#<v>", rebuilt in place per point
 	for a := 0; a < arrays; a++ {
 		for v := 0; v < vnodes; v++ {
-			pts = append(pts, ringPoint{fnv64(fmt.Sprintf("array-%d#%d", a, v)), a})
+			buf = strconv.AppendInt(append(buf[:0], "array-"...), int64(a), 10)
+			buf = strconv.AppendInt(append(buf, '#'), int64(v), 10)
+			pts = append(pts, ringPoint{fnv64(buf), a})
 		}
 	}
 	sort.Slice(pts, func(i, j int) bool {

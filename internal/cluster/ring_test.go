@@ -27,6 +27,35 @@ func TestFnv64AtMatchesSprintf(t *testing.T) {
 	}
 }
 
+// TestNewRingMatchesSprintf pins the ring's virtual-node hashes to the
+// "array-%d#%d" strings they were first defined over: newRing builds the
+// names in a reused byte buffer, and any drift would re-place every volume.
+func TestNewRingMatchesSprintf(t *testing.T) {
+	for _, c := range []struct{ arrays, vnodes int }{{1, 1}, {2, 3}, {8, 64}, {11, 128}, {3, 1000}} {
+		want := make([]ringPoint, 0, c.arrays*c.vnodes)
+		for a := 0; a < c.arrays; a++ {
+			for v := 0; v < c.vnodes; v++ {
+				want = append(want, ringPoint{fnv64(fmt.Sprintf("array-%d#%d", a, v)), a})
+			}
+		}
+		sort.Slice(want, func(i, j int) bool {
+			if want[i].hash != want[j].hash {
+				return want[i].hash < want[j].hash
+			}
+			return want[i].array < want[j].array
+		})
+		got := newRing(c.arrays, c.vnodes).points
+		if len(got) != len(want) {
+			t.Fatalf("newRing(%d, %d): %d points, want %d", c.arrays, c.vnodes, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("newRing(%d, %d) point %d = %+v, want %+v", c.arrays, c.vnodes, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestSearchGEMatchesSortSearch checks the closure-free ring search against
 // sort.Search over every probe position of a dense ring, including the
 // below-first and past-last boundaries.

@@ -34,9 +34,10 @@ func (d *fixedDisk) InGC(now sim.Time) bool { return d.gc }
 
 func discard(sim.Time) {}
 
-// TestSteeringSteadyStateZeroAllocs pins the redirector's pooled fan-ins:
-// once warmed, a write steered off a collecting member into mirrored
-// reserved staging, and a read served from that staged copy, allocate
+// TestSteeringSteadyStateZeroAllocs pins the redirector's pooled fan-ins
+// and the reclaim pump: once warmed, a write steered off a collecting
+// member into mirrored reserved staging, a read served from that staged
+// copy, and a full reclaim cycle that drains the copy home allocate
 // nothing.
 func TestSteeringSteadyStateZeroAllocs(t *testing.T) {
 	const unit, diskPages, reserved, gcDisk = 16, 16 * 256, 1024, 2
@@ -104,5 +105,30 @@ func TestSteeringSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if e, ok := st.DTable().Get(home); !ok || !e.Write || !e.Loc.Mirrored() {
 		t.Fatalf("redirected write not staged as a mirrored entry: %+v (found %v)", e, ok)
+	}
+
+	// A full reclaim cycle: a write steered off the collecting member, the
+	// member's GC ending, and the drain reading the staged copy, writing
+	// the run home and retiring the entry.
+	reclaim := func() {
+		fakes[gcDisk].gc = true
+		write()
+		fakes[gcDisk].gc = false
+		st.OnDeviceGCEnd(eng.Now(), gcDisk)
+		eng.Run()
+	}
+	for i := 0; i < 4; i++ {
+		reclaim()
+	}
+	before = st.Stats()
+	if n := testing.AllocsPerRun(100, reclaim); n != 0 {
+		t.Errorf("reclaim cycle: %v allocations, want 0", n)
+	}
+	after = st.Stats()
+	if after.ReclaimedPages <= before.ReclaimedPages || after.ReclaimRuns <= before.ReclaimRuns {
+		t.Fatalf("nothing reclaimed: before %+v after %+v", before, after)
+	}
+	if _, ok := st.DTable().Get(home); ok || st.Draining() {
+		t.Fatalf("reclaim left the entry staged (drain active %v)", st.Draining())
 	}
 }

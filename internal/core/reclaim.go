@@ -33,8 +33,8 @@ func (s *Steering) DrainAll(now sim.Time) {
 // reclaimable write entries (entries homed on a failed member are not
 // reclaimable until it is rebuilt and do not count).
 func (s *Steering) Draining() bool {
-	for _, d := range s.draining {
-		if d {
+	for _, p := range s.pumps {
+		if p.active {
 			return true
 		}
 	}
@@ -53,39 +53,65 @@ func (s *Steering) Draining() bool {
 }
 
 func (s *Steering) drain(now sim.Time, disk int) {
-	if s.draining[disk] {
+	p := s.pumps[disk]
+	if p.active {
 		return
 	}
-	s.draining[disk] = true
-	//lint:allow hotalloc one kick-off closure per drain start, bounded by GC episodes, not per request
-	s.eng.Defer(func(t sim.Time) { s.drainNext(t, disk) })
+	p.active = true
+	s.eng.Defer(p.next)
 }
 
-// drainNext reclaims the next merged run for disk, then re-arms itself.
-// It stops (and re-arms on the next GC-end event) when the disk re-enters
-// collection or when no write entries remain.
-//
-// gcsvet: the reclaim pump runs deferred, one merged run per step, a
-// bounded number of times per GC episode — off the per-request path, so
-// it is a cold boundary for hotalloc.
-//
-//gcsvet:cold
-func (s *Steering) drainNext(now sim.Time, disk int) {
+// reclaimPump is one member disk's reclaim drain. A drain is started only
+// when the pump is not active, so at most one merged run is in flight per
+// disk and the pump owns the run, its entry snapshot and its completion
+// callbacks: the callbacks are bound once in newReclaimPump and the
+// snapshot buffer is resliced per run, so a drain step allocates nothing.
+type reclaimPump struct {
+	s      *Steering
+	disk   int
+	active bool // a drain is in progress
+	run    Run
+	snaps  []snap
+
+	next      func(now sim.Time) // p.step
+	writeHome func(now sim.Time) // p.write, joined over the staged reads
+	finalize  func(now sim.Time) // p.commit, on the home write's completion
+}
+
+// snap is an entry snapshot taken when its run is issued, so a redirect
+// that lands while the write-back is in flight is detected by generation.
+type snap struct {
+	key PageKey
+	gen uint32
+	loc StageLoc
+}
+
+func newReclaimPump(s *Steering, disk int) *reclaimPump {
+	p := &reclaimPump{s: s, disk: disk}
+	p.next, p.writeHome, p.finalize = p.step, p.write, p.commit
+	return p
+}
+
+// step reclaims the next merged run for the pump's disk, then re-arms
+// itself. It stops (and re-arms on the next GC-end event) when the disk
+// re-enters collection or when no write entries remain.
+func (p *reclaimPump) step(now sim.Time) {
+	s, disk := p.s, p.disk
 	if disk == s.failedHome {
 		// The home member is gone; its entries stay staged until rebuilt.
-		s.draining[disk] = false
+		p.active = false
 		return
 	}
 	if s.devs[disk].InGC(now) || s.unhealthy(now, disk) ||
 		(s.rebuilding && !s.stagingPressure()) {
 		// A quarantined home gets no write-back traffic either; the facade
 		// kicks the drain again when the breaker closes (same hook as GC-end).
-		s.draining[disk] = false
+		p.active = false
 		return
 	}
 	run, ok := s.dt.FirstWriteRunFor(int32(disk), s.cfg.ReclaimMerge)
 	if !ok {
-		s.draining[disk] = false
+		p.active = false
 		return
 	}
 	s.stats.ReclaimRuns++
@@ -95,47 +121,46 @@ func (s *Steering) drainNext(now sim.Time, disk int) {
 			Aux: int64(s.staging.FreeWriteSlots())})
 	}
 
-	// Snapshot the entries so concurrent redirects are detected.
-	type snap struct {
-		key PageKey
-		gen uint32
-		loc StageLoc
-	}
-	snaps := make([]snap, 0, run.Pages)
+	p.run, p.snaps = run, p.snaps[:0]
 	for i := int32(0); i < run.Pages; i++ {
 		key := PageKey{Disk: run.Disk, Page: run.Page + i}
 		e, ok := s.dt.Get(key)
 		if !ok || !e.Write {
 			continue // raced with a delete; skip
 		}
-		snaps = append(snaps, snap{key, e.Gen, e.Loc})
+		p.snaps = append(p.snaps, snap{key, e.Gen, e.Loc})
 	}
-	if len(snaps) == 0 {
-		s.eng.Defer(func(t sim.Time) { s.drainNext(t, disk) })
+	if len(p.snaps) == 0 {
+		s.eng.Defer(p.next)
 		return
 	}
 
-	finalize := func(t sim.Time) {
-		for _, sn := range snaps {
-			cur, ok := s.dt.Get(sn.key)
-			if !ok || cur.Gen != sn.gen {
-				// A newer redirect superseded this write-back; the entry
-				// (and its newer staging copy) stays live.
-				s.stats.ReclaimSkippedStale++
-				continue
-			}
-			s.staging.Free(sn.loc)
-			s.dt.Delete(sn.key)
-			s.stats.ReclaimedPages++
-		}
-		s.drainNext(t, disk)
-	}
-
 	// Read every staged page, then write the whole run home in one I/O.
-	onRead := s.eng.Join(len(snaps), func(t sim.Time) {
-		must(s.devs[disk].Write(t, int(run.Page), int(run.Pages), finalize))
-	})
-	for _, sn := range snaps {
+	onRead := s.eng.Join(len(p.snaps), p.writeHome)
+	for _, sn := range p.snaps {
 		s.staging.Read(now, sn.loc, onRead)
 	}
+}
+
+// write issues the run's home write once every staged page has been read.
+func (p *reclaimPump) write(now sim.Time) {
+	must(p.s.devs[p.disk].Write(now, int(p.run.Page), int(p.run.Pages), p.finalize))
+}
+
+// commit retires the written-back entries and steps to the next run.
+func (p *reclaimPump) commit(now sim.Time) {
+	s := p.s
+	for _, sn := range p.snaps {
+		cur, ok := s.dt.Get(sn.key)
+		if !ok || cur.Gen != sn.gen {
+			// A newer redirect superseded this write-back; the entry
+			// (and its newer staging copy) stays live.
+			s.stats.ReclaimSkippedStale++
+			continue
+		}
+		s.staging.Free(sn.loc)
+		s.dt.Delete(sn.key)
+		s.stats.ReclaimedPages++
+	}
+	p.step(now)
 }

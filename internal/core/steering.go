@@ -110,9 +110,9 @@ type Steering struct {
 	cfg     Config
 
 	rebuilding bool
-	failedHome int    // member whose home locations are gone (-1 = none)
-	draining   []bool // per-disk: reclaim drain in progress
-	writeCap   int    // staging write slots at construction
+	failedHome int            // member whose home locations are gone (-1 = none)
+	pumps      []*reclaimPump // per-disk reclaim drains
+	writeCap   int            // staging write slots at construction
 	stats      Stats
 
 	// Trace, when non-nil, receives steering decisions: redirects,
@@ -170,14 +170,14 @@ func New(eng *sim.Engine, arr *raid.Array, staging Staging, cfg Config) (*Steeri
 		dt:         NewDTable(len(devs), pages),
 		cfg:        cfg,
 		failedHome: -1,
-		draining:   make([]bool, len(devs)),
 	}
 	hotCap := int(hotFrac * float64(pages))
 	if hotCap < 1 {
 		hotCap = 1
 	}
-	for range devs {
+	for d := range devs {
 		s.hot = append(s.hot, NewRLRU(hotCap, pages))
+		s.pumps = append(s.pumps, newReclaimPump(s, d))
 	}
 	if rs, ok := staging.(*ReservedStaging); ok {
 		rs.eng = eng // mirrored writes fan in on the engine

@@ -21,9 +21,9 @@ import (
 // every URE comes from the deterministic seeded defect sets and the
 // scrub/no-scrub comparison is exact, not statistical.
 func Scrub(o Options) (*Grid, error) {
-	// The scrub columns ask for one patrol pass; its bandwidth cap is
-	// sized from the trace below.
-	scrub := func(c *gcsteering.Config) { c.ScrubPasses = 1 }
+	// The scrub columns turn the patrol scrubber on with a placeholder
+	// bandwidth cap; fail sizes the real cap from the trace below.
+	scrub := func(c *gcsteering.Config) { c.ScrubMBps = 1 }
 	hedge := func(c *gcsteering.Config) { c.HedgedReads = true }
 	vs := []variant{{"baseline", unchanged}, {"scrub", scrub}, {"hedge", hedge},
 		{"scrub+hedge", func(c *gcsteering.Config) { scrub(c); hedge(c) }}}
@@ -49,7 +49,7 @@ func Scrub(o Options) (*Grid, error) {
 			RebuildMBps:     rebuildBandwidthMBps(c.Capacity(), c.Disks, dur*0.40),
 			RebuildTarget:   gcsteering.RebuildToSpare,
 		}
-		if c.ScrubPasses > 0 {
+		if c.ScrubMBps > 0 {
 			arrayBytes := float64(c.Capacity()) / float64(c.Disks-1) * float64(c.Disks)
 			c.ScrubMBps = arrayBytes / 1e6 / (dur * 0.35)
 		}

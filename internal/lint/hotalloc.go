@@ -24,7 +24,11 @@ import (
 // that terminate in panic, and return statements whose error result is
 // non-nil are not checked. Episodic or opt-in work reached from the hot
 // path (GC planning, journal writes) is fenced off with //gcsvet:cold
-// on the callee, which stops traversal.
+// on the callee, which stops traversal. Callbacks reached only through
+// func values scheduled on the engine (a field bound once and handed to
+// Engine.At or Defer) are not traversed, so the deferred background
+// pumps (reclaim, rebuild, scrub, resync) are pinned by AllocsPerRun
+// tests instead.
 func Hotalloc() *Analyzer {
 	a := &Analyzer{
 		Name: "hotalloc",

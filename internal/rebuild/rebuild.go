@@ -165,6 +165,17 @@ type Rebuilder struct {
 	running bool
 	stats   Stats
 
+	// The in-flight unit. Units are strictly serial (Start is guarded by
+	// running and each unit schedules the next), so one record serves the
+	// whole run: the callbacks are bound once in New and sources is
+	// resliced per unit, so a unit allocates nothing.
+	base         int                // first page of the unit being rebuilt
+	earliestNext sim.Time           // pacing floor for the next unit
+	sources      []int              // surviving members read for the unit
+	step         func(now sim.Time) // r.rebuildUnit
+	read         func(now sim.Time) // r.writeUnit, joined over the survivor reads
+	written      func(now sim.Time) // r.unitDone, on the sink write's completion
+
 	// OnComplete, when non-nil, fires once after the last unit is written.
 	OnComplete func(now sim.Time)
 
@@ -185,14 +196,16 @@ func New(eng *sim.Engine, arr *raid.Array, sink Sink, bandwidthMBps float64, pag
 	}
 	lay := arr.Layout()
 	interval := PaceInterval(int64(lay.UnitPages*pageSize), bandwidthMBps)
-	return &Rebuilder{
+	r := &Rebuilder{
 		eng:      eng,
 		arr:      arr,
 		sink:     sink,
 		interval: interval,
 		failed:   arr.Failed(),
 		stripes:  lay.Stripes(),
-	}, nil
+	}
+	r.step, r.read, r.written = r.rebuildUnit, r.writeUnit, r.unitDone
+	return r, nil
 }
 
 // Stats returns a snapshot of the run statistics.
@@ -247,18 +260,18 @@ func (r *Rebuilder) rebuildUnit(startAt sim.Time) {
 	lay := r.arr.Layout()
 	st := r.nextSt
 	r.nextSt++
-	base := lay.UnitPage(st)
+	r.base = lay.UnitPage(st)
 	disks := r.arr.Disks()
 
 	// Read the stripe's unit from every surviving member.
-	var sources []int
+	r.sources = r.sources[:0]
 	errs := 0
 	for d := 0; d < lay.Disks; d++ {
 		if !r.arr.Alive(d) {
 			continue
 		}
-		sources = append(sources, d)
-		if f, ok := disks[d].(raid.Faulty); ok && f.ReadError(startAt, base, lay.UnitPages) {
+		r.sources = append(r.sources, d)
+		if f, ok := disks[d].(raid.Faulty); ok && f.ReadError(startAt, r.base, lay.UnitPages) {
 			errs++
 		}
 	}
@@ -270,22 +283,28 @@ func (r *Rebuilder) rebuildUnit(startAt sim.Time) {
 			r.stats.DataLossUnits++
 		}
 	}
-	earliestNext := startAt + r.interval
-	onRead := r.eng.Join(len(sources), func(t sim.Time) {
-		// All survivor reads done: write the regenerated unit.
-		r.sink.WriteUnit(t, base, lay.UnitPages, func(wt sim.Time) {
-			r.stats.UnitsRebuilt++
-			r.stats.PagesWritten += int64(lay.UnitPages)
-			if r.Trace.Enabled() {
-				r.Trace.Emit(wt, obs.Event{Kind: obs.KRebuildUnit, Dev: int32(r.failed),
-					Page: int64(base), Pages: int32(lay.UnitPages),
-					Aux: r.stats.UnitsRebuilt, Aux2: int64(r.stripes)})
-			}
-			r.eng.At(max(wt, earliestNext), r.rebuildUnit)
-		})
-	})
-	for _, d := range sources {
+	r.earliestNext = startAt + r.interval
+	onRead := r.eng.Join(len(r.sources), r.read)
+	for _, d := range r.sources {
 		r.stats.PagesRead += int64(lay.UnitPages)
-		must(disks[d].Read(startAt, base, lay.UnitPages, onRead))
+		must(disks[d].Read(startAt, r.base, lay.UnitPages, onRead))
 	}
+}
+
+// writeUnit writes the regenerated unit once every survivor read is done.
+func (r *Rebuilder) writeUnit(now sim.Time) {
+	r.sink.WriteUnit(now, r.base, r.arr.Layout().UnitPages, r.written)
+}
+
+// unitDone accounts the written unit and paces the next one.
+func (r *Rebuilder) unitDone(now sim.Time) {
+	pages := r.arr.Layout().UnitPages
+	r.stats.UnitsRebuilt++
+	r.stats.PagesWritten += int64(pages)
+	if r.Trace.Enabled() {
+		r.Trace.Emit(now, obs.Event{Kind: obs.KRebuildUnit, Dev: int32(r.failed),
+			Page: int64(r.base), Pages: int32(pages),
+			Aux: r.stats.UnitsRebuilt, Aux2: int64(r.stripes)})
+	}
+	r.eng.At(max(now, r.earliestNext), r.step)
 }

@@ -246,3 +246,44 @@ func TestPaceInterval(t *testing.T) {
 		t.Fatal("CheckPace must reject only caps that pace past sim.Horizon")
 	}
 }
+
+// TestRebuildUnitSteadyStateZeroAllocs pins the rebuilder's one in-flight
+// unit record: once warmed, reading a unit from the survivors, writing the
+// regenerated unit and pacing the next allocate nothing.
+func TestRebuildUnitSteadyStateZeroAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	lay := raid.Layout{Level: raid.RAID5, Disks: 5, UnitPages: 16, DiskPages: 16 * 200}
+	disks := make([]raid.Disk, lay.Disks)
+	for i := range disks {
+		disks[i] = &fakeDisk{eng: eng, pages: lay.DiskPages, readLat: 50 * sim.Microsecond, writeLat: 500 * sim.Microsecond}
+	}
+	arr, err := raid.NewArray(eng, lay, disks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.FailDisk(2)
+	spare := &fakeDisk{eng: eng, pages: lay.DiskPages, writeLat: 500 * sim.Microsecond}
+	rb, err := New(eng, arr, &SpareSink{Disk: spare}, 10, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := func() {
+		n := rb.Stats().UnitsRebuilt
+		for rb.Stats().UnitsRebuilt == n {
+			if !eng.Step() {
+				t.Fatal("event queue drained mid-unit")
+			}
+		}
+	}
+	rb.Start(0)
+	for i := 0; i < 4; i++ {
+		unit()
+	}
+	if n := testing.AllocsPerRun(100, unit); n != 0 {
+		t.Errorf("rebuild unit: %v allocations, want 0", n)
+	}
+	eng.Run()
+	if st := rb.Stats(); rb.Running() || st.UnitsRebuilt != int64(lay.Stripes()) {
+		t.Fatalf("rebuild did not complete: running %v, %d of %d units", rb.Running(), st.UnitsRebuilt, lay.Stripes())
+	}
+}

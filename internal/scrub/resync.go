@@ -39,6 +39,19 @@ type Resyncer struct {
 	running bool
 	stats   ResyncStats
 
+	// The in-flight stripe, one record for the whole walk (stripes are
+	// strictly serial, as in Scrubber): the callbacks are bound once in
+	// NewResync and the member lists are resliced per stripe.
+	st           int                // stripe being walked
+	dirty        bool               // the stripe needs repair
+	earliestNext sim.Time           // pacing floor for the next stripe
+	sources      []int              // surviving members read
+	torn         []int              // members whose unit fails its checksum
+	targets      []int              // members the repair rewrites
+	walk         func(now sim.Time) // r.step
+	read         func(now sim.Time) // r.readDone, joined over the member reads
+	paced        func(now sim.Time) // r.pace, once the stripe's I/O is done
+
 	// Inconsistent, when non-nil, reports the ground truth for stale-leg
 	// stripes — writes the cut left half-applied without tearing any page,
 	// invisible to per-unit CRC checks but caught by parity recompute.
@@ -76,12 +89,14 @@ func NewResync(eng *sim.Engine, arr *raid.Array, mbps float64, pageSize int, str
 		return nil, fmt.Errorf("resync: page size %d must be positive", pageSize)
 	}
 	lay := arr.Layout()
-	return &Resyncer{
+	r := &Resyncer{
 		eng:      eng,
 		arr:      arr,
 		interval: rebuild.PaceInterval(int64(lay.UnitPages*pageSize*lay.Disks), mbps),
 		stripes:  stripes,
-	}, nil
+	}
+	r.walk, r.read, r.paced = r.step, r.readDone, r.pace
+	return r, nil
 }
 
 // Stats returns a snapshot of the run statistics.
@@ -130,86 +145,90 @@ func (r *Resyncer) step(now sim.Time) {
 	// Torn members: units whose pages were mid-program at the cut now fail
 	// their checksum. Probed before the reads (side-effect free), so the
 	// repair can target exactly these units.
-	var torn []int
-	var sources []int
+	r.st, r.sources, r.torn = st, r.sources[:0], r.torn[:0]
 	for d := 0; d < lay.Disks; d++ {
 		if !r.arr.Alive(d) {
 			continue
 		}
-		sources = append(sources, d)
+		r.sources = append(r.sources, d)
 		if m, ok := disks[d].(media); ok && m.VerifyError(now, base, lay.UnitPages) {
-			torn = append(torn, d)
+			r.torn = append(r.torn, d)
 		}
 	}
-	dirty := len(torn) > 0 || (r.Inconsistent != nil && r.Inconsistent(st))
+	r.dirty = len(r.torn) > 0 || (r.Inconsistent != nil && r.Inconsistent(st))
 
-	earliestNext := now + r.interval
-	finish := func(t sim.Time) { r.eng.At(max(t, earliestNext), r.step) }
+	r.earliestNext = now + r.interval
 	if r.Trace.Enabled() {
 		found := int64(0)
-		if dirty {
+		if r.dirty {
 			found = 1
 		}
 		r.Trace.Emit(now, obs.Event{Kind: obs.KResyncStripe, Dev: -1,
 			Page: int64(base), Pages: int32(lay.UnitPages), Aux: int64(st), Aux2: found})
 	}
-	if len(sources) == 0 {
-		finish(now)
+	if len(r.sources) == 0 {
+		r.pace(now)
 		return
 	}
-	onRead := r.eng.Join(len(sources), func(t sim.Time) {
-		if !dirty {
-			finish(t)
-			return
-		}
-		r.repair(t, st, torn, finish)
-	})
-	for _, d := range sources {
+	onRead := r.eng.Join(len(r.sources), r.read)
+	for _, d := range r.sources {
 		r.stats.PagesRead += int64(lay.UnitPages)
 		must(disks[d].Read(now, base, lay.UnitPages, onRead))
 	}
 }
 
-// repair re-establishes the stripe: torn units are rewritten in place
-// (clearing the CRC defects), and the parity units are recomputed from the
-// data — the write-hole closure itself.
-func (r *Resyncer) repair(now sim.Time, st int, torn []int, done func(sim.Time)) {
+// pace schedules the next stripe no earlier than the bandwidth cap allows.
+func (r *Resyncer) pace(now sim.Time) { r.eng.At(max(now, r.earliestNext), r.walk) }
+
+// readDone repairs the stripe, if the crash left it inconsistent, once
+// every member read is done.
+func (r *Resyncer) readDone(now sim.Time) {
+	if !r.dirty {
+		r.pace(now)
+		return
+	}
+	r.repair(now)
+}
+
+// repair re-establishes the in-flight stripe: torn units are rewritten in
+// place (clearing the CRC defects), and the parity units are recomputed
+// from the data — the write-hole closure itself.
+func (r *Resyncer) repair(now sim.Time) {
 	r.stats.Inconsistent++
 	lay := r.arr.Layout()
-	base := lay.UnitPage(st)
+	base := lay.UnitPage(r.st)
 	disks := r.arr.Disks()
 
 	// Writes: every torn unit, plus the surviving parity units (always
 	// rewritten — a half-applied write means parity no longer matches the
 	// data even when every page has a valid CRC).
-	targets := torn[:len(torn):len(torn)]
-	pd, qd := lay.ParityDisk(st), lay.QDisk(st)
-	for _, d := range []int{pd, qd} {
+	r.targets = append(r.targets[:0], r.torn...)
+	for _, d := range [2]int{lay.ParityDisk(r.st), lay.QDisk(r.st)} {
 		if d < 0 || !r.arr.Alive(d) {
 			continue
 		}
 		seen := false
-		for _, t := range targets {
+		for _, t := range r.targets {
 			if t == d {
 				seen = true
 				break
 			}
 		}
 		if !seen {
-			targets = append(targets, d)
+			r.targets = append(r.targets, d)
 		}
 	}
-	if len(targets) == 0 {
-		done(now)
+	if len(r.targets) == 0 {
+		r.pace(now)
 		return
 	}
-	cb := r.eng.Join(len(targets), done)
-	for _, d := range targets {
+	cb := r.eng.Join(len(r.targets), r.paced)
+	for _, d := range r.targets {
 		if m, ok := disks[d].(media); ok {
 			m.RepairPages(base, lay.UnitPages)
 		}
 		r.stats.PagesWritten += int64(lay.UnitPages)
 		must(disks[d].Write(now, base, lay.UnitPages, cb))
 	}
-	r.stats.TornUnitsRepaired += int64(len(torn))
+	r.stats.TornUnitsRepaired += int64(len(r.torn))
 }

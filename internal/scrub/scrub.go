@@ -129,6 +129,18 @@ type Scrubber struct {
 	running   bool
 	stats     Stats
 
+	// The in-flight stripe. Stripes are strictly serial (Start is guarded
+	// by running and each stripe schedules the next), so one record serves
+	// the whole run: the callbacks are bound once in New and the member
+	// lists are resliced per stripe, so a stripe allocates nothing.
+	st           int                // stripe being scrubbed
+	earliestNext sim.Time           // pacing floor for the next stripe
+	sources      []int              // surviving members read
+	bad          []int              // members whose unit holds a defect
+	step         func(now sim.Time) // s.scrubStripe
+	read         func(now sim.Time) // s.repair, joined over the member reads
+	paced        func(now sim.Time) // s.pace, once the stripe's I/O is done
+
 	// OnComplete, when non-nil, fires once after the final pass finishes.
 	OnComplete func(now sim.Time)
 
@@ -153,13 +165,15 @@ func New(eng *sim.Engine, arr *raid.Array, cfg Config, pageSize int) (*Scrubber,
 	}
 	cfg = cfg.withDefaults()
 	lay := arr.Layout()
-	return &Scrubber{
+	s := &Scrubber{
 		eng:      eng,
 		arr:      arr,
 		cfg:      cfg,
 		interval: rebuild.PaceInterval(int64(lay.UnitPages*pageSize*lay.Disks), cfg.MBps),
 		stripes:  lay.Stripes(),
-	}, nil
+	}
+	s.step, s.read, s.paced = s.scrubStripe, s.repair, s.pace
+	return s, nil
 }
 
 // Stats returns a snapshot of the run statistics.
@@ -248,7 +262,7 @@ func (s *Scrubber) scrubStripe(now sim.Time) {
 			s.Trace.Emit(now, obs.Event{Kind: obs.KShed, Dev: -1,
 				Page: int64(base), Aux: 2})
 		}
-		s.eng.At(now+s.cfg.YieldDelay, s.scrubStripe)
+		s.eng.At(now+s.cfg.YieldDelay, s.step)
 		return
 	}
 
@@ -265,7 +279,7 @@ func (s *Scrubber) scrubStripe(now sim.Time) {
 					s.Trace.Emit(now, obs.Event{Kind: obs.KScrubBusy, Dev: int32(d),
 						Page: int64(base), Aux: int64(s.gcRetries), Aux2: int64(backoff)})
 				}
-				s.eng.At(now+backoff, s.scrubStripe)
+				s.eng.At(now+backoff, s.step)
 				return
 			}
 		}
@@ -291,7 +305,7 @@ func (s *Scrubber) scrubStripe(now sim.Time) {
 				s.Trace.Emit(now, obs.Event{Kind: obs.KScrubYield, Dev: int32(worstDev),
 					Page: int64(base), Aux2: int64(worst)})
 			}
-			s.eng.At(now+s.cfg.YieldDelay, s.scrubStripe)
+			s.eng.At(now+s.cfg.YieldDelay, s.step)
 			return
 		}
 	}
@@ -299,48 +313,50 @@ func (s *Scrubber) scrubStripe(now sim.Time) {
 	s.nextSt++
 	s.stats.StripesScanned++
 
-	var sources, bad []int
+	s.st, s.sources, s.bad = st, s.sources[:0], s.bad[:0]
 	for d := 0; d < lay.Disks; d++ {
 		if !s.arr.Alive(d) {
 			continue
 		}
-		sources = append(sources, d)
+		s.sources = append(s.sources, d)
 		if badUnit(now, disks[d], base, lay.UnitPages) {
-			bad = append(bad, d)
+			s.bad = append(s.bad, d)
 		}
 	}
-	earliestNext := now + s.interval
-	finish := func(t sim.Time) { s.eng.At(max(t, earliestNext), s.scrubStripe) }
-	if len(sources) == 0 {
-		finish(now)
+	s.earliestNext = now + s.interval
+	if len(s.sources) == 0 {
+		s.pace(now)
 		return
 	}
-	onRead := s.eng.Join(len(sources), func(t sim.Time) { s.repair(t, st, bad, finish) })
-	for _, d := range sources {
+	onRead := s.eng.Join(len(s.sources), s.read)
+	for _, d := range s.sources {
 		s.stats.PagesRead += int64(lay.UnitPages)
 		must(disks[d].Read(now, base, lay.UnitPages, onRead))
 	}
 }
 
-// repair rewrites the bad units of stripe st in place from redundancy —
-// when the surviving redundancy can still cover them all — and clears the
-// media defects. Beyond the redundancy budget the units are counted
-// unrecoverable and left alone.
-func (s *Scrubber) repair(now sim.Time, st int, bad []int, done func(sim.Time)) {
-	if len(bad) == 0 {
-		done(now)
+// pace schedules the next stripe no earlier than the bandwidth cap allows.
+func (s *Scrubber) pace(now sim.Time) { s.eng.At(max(now, s.earliestNext), s.step) }
+
+// repair rewrites the in-flight stripe's bad units in place from
+// redundancy — when the surviving redundancy can still cover them all —
+// and clears the media defects. Beyond the redundancy budget the units are
+// counted unrecoverable and left alone.
+func (s *Scrubber) repair(now sim.Time) {
+	if len(s.bad) == 0 {
+		s.pace(now)
 		return
 	}
-	if len(bad) > s.arr.SpareRedundancy() {
-		s.stats.UnrecoverableUnits += int64(len(bad))
-		done(now)
+	if len(s.bad) > s.arr.SpareRedundancy() {
+		s.stats.UnrecoverableUnits += int64(len(s.bad))
+		s.pace(now)
 		return
 	}
 	lay := s.arr.Layout()
-	base := lay.UnitPage(st)
+	base := lay.UnitPage(s.st)
 	disks := s.arr.Disks()
-	cb := s.eng.Join(len(bad), done)
-	for _, d := range bad {
+	cb := s.eng.Join(len(s.bad), s.paced)
+	for _, d := range s.bad {
 		lat, cor := disks[d].(media).RepairPages(base, lay.UnitPages)
 		s.stats.UnitsRepaired++
 		s.stats.LatentPagesRepaired += int64(lat)

@@ -301,3 +301,83 @@ func TestStartIsIdempotentWhileRunning(t *testing.T) {
 		t.Fatalf("scanned %d stripes, want %d — double Start double-walked", sc.Stats().StripesScanned, want)
 	}
 }
+
+// stripeStepper returns a func that steps the engine until count rises:
+// one whole background stripe, from its predecessor's completion to its
+// own start.
+func stripeStepper(t *testing.T, eng *sim.Engine, count func() int64) func() {
+	return func() {
+		n := count()
+		for count() == n {
+			if !eng.Step() {
+				t.Fatal("event queue drained mid-stripe")
+			}
+		}
+	}
+}
+
+// TestScrubStripeSteadyStateZeroAllocs pins the scrubber's one in-flight
+// stripe record: once warmed, reading a stripe from every member and
+// repairing its one bad unit in place allocate nothing.
+func TestScrubStripeSteadyStateZeroAllocs(t *testing.T) {
+	lay := raid.Layout{Level: raid.RAID5, Disks: 4, UnitPages: 8, DiskPages: 8 * 300}
+	eng, arr, fakes := newScrubArray(t, lay)
+	for st := 0; st < lay.Stripes(); st++ {
+		f := fakes[st%lay.Disks]
+		if st%2 == 0 {
+			f.latent[lay.UnitPage(st)] = true
+		} else {
+			f.corrupt[lay.UnitPage(st)+1] = true
+		}
+	}
+	sc, err := New(eng, arr, Config{MBps: 100}, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripe := stripeStepper(t, eng, func() int64 { return sc.Stats().StripesScanned })
+	sc.Start(0)
+	for i := 0; i < 4; i++ {
+		stripe()
+	}
+	if n := testing.AllocsPerRun(100, stripe); n != 0 {
+		t.Errorf("scrub stripe: %v allocations, want 0", n)
+	}
+	eng.Run()
+	if st := sc.Stats(); st.UnitsRepaired != int64(lay.Stripes()) {
+		t.Fatalf("repaired %d units, want %d", st.UnitsRepaired, lay.Stripes())
+	}
+}
+
+// TestResyncStripeSteadyStateZeroAllocs pins the resync walker's one
+// in-flight stripe record: once warmed, reading a stripe and rewriting its
+// parity (and its torn unit, on odd stripes; even ones are half-written
+// without a torn page) allocate nothing.
+func TestResyncStripeSteadyStateZeroAllocs(t *testing.T) {
+	lay := raid.Layout{Level: raid.RAID5, Disks: 4, UnitPages: 8, DiskPages: 8 * 300}
+	eng, arr, fakes := newScrubArray(t, lay)
+	stripes := make([]int, lay.Stripes())
+	for st := range stripes {
+		stripes[st] = st
+		if st%2 == 1 {
+			fakes[st%lay.Disks].corrupt[lay.UnitPage(st)] = true
+		}
+	}
+	rs, err := NewResync(eng, arr, 100, 4096, stripes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.Inconsistent = func(st int) bool { return st%2 == 0 }
+	stripe := stripeStepper(t, eng, func() int64 { return rs.Stats().StripesWalked })
+	rs.Start(0)
+	for i := 0; i < 4; i++ {
+		stripe()
+	}
+	if n := testing.AllocsPerRun(100, stripe); n != 0 {
+		t.Errorf("resync stripe: %v allocations, want 0", n)
+	}
+	eng.Run()
+	if st := rs.Stats(); st.Inconsistent != int64(len(stripes)) || st.TornUnitsRepaired != int64(len(stripes)/2) {
+		t.Fatalf("resync repaired %d stripes, %d torn units; want %d and %d",
+			st.Inconsistent, st.TornUnitsRepaired, len(stripes), len(stripes)/2)
+	}
+}

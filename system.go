@@ -486,15 +486,12 @@ func (q *request) settle(d int64) {
 
 // startScrub launches the patrol scrubber when the config enables it
 // (Config.ScrubMBps > 0). It runs alongside the replayed workload, paced by
-// its bandwidth cap, and finishes after Config.ScrubPasses full passes.
+// its bandwidth cap, and finishes after one full pass.
 func (s *System) startScrub() error {
 	if s.cfg.ScrubMBps <= 0 {
 		return nil
 	}
-	sc, err := scrub.New(s.eng, s.arr, scrub.Config{
-		MBps:   s.cfg.ScrubMBps,
-		Passes: s.cfg.ScrubPasses,
-	}, s.cfg.Flash.PageSize)
+	sc, err := scrub.New(s.eng, s.arr, scrub.Config{MBps: s.cfg.ScrubMBps}, s.cfg.Flash.PageSize)
 	if err != nil {
 		return err
 	}
