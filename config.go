@@ -3,7 +3,7 @@
 // SSD-based RAIDs" (Wu et al., IPDPS 2018).
 //
 // It provides, end to end: a flash SSD simulator with page-mapped FTL and
-// greedy garbage collection, a RAID0/1/5/6 engine with real parity codecs,
+// greedy garbage collection, a RAID5/6 engine with real parity codecs,
 // the LGC and GGC baseline GC-coordination schemes, the GC-Steering scheme
 // itself (D_Table, R_LRU, dedicated or reserved staging space, request
 // redirection, reclaim), a failure-recovery engine with the paper's
@@ -84,8 +84,6 @@ type Level = raid.Level
 
 // RAID levels supported by the array engine.
 const (
-	RAID0 = raid.RAID0
-	RAID1 = raid.RAID1
 	RAID5 = raid.RAID5
 	RAID6 = raid.RAID6
 )
@@ -100,8 +98,8 @@ type LatencyModel = ssd.LatencyModel
 type Config struct {
 	// Disks is the number of member SSDs in the array.
 	Disks int
-	// Level is the RAID level (the paper evaluates RAID5; RAID1/6 are the
-	// future-work levels and also supported).
+	// Level is the RAID level: RAID5, the zero value and the level the
+	// paper evaluates, or RAID6, which survives a second failure.
 	Level Level
 	// StripeUnitKB is the stripe unit ("chunk") size in KiB.
 	StripeUnitKB int
@@ -134,7 +132,7 @@ type Config struct {
 	// HedgedReads races a parity reconstruct-read against direct reads
 	// whose home disk is mid-GC or fail-slow and takes the winner — the
 	// read-side dual of GC-aware write steering, cutting GC-phase read
-	// tail latency at the cost of extra sub-ops. RAID5/6 only.
+	// tail latency at the cost of extra sub-ops.
 	//gcsvet:inert
 	HedgedReads bool
 	// ScrubMBps enables the patrol scrubber at this array-wide read
@@ -239,10 +237,6 @@ type Config struct {
 	// set.
 	//gcsvet:inert
 	IntentJournal bool
-	// ResyncMBps caps the post-crash resync read bandwidth (MB/s). <= 0
-	// defaults to 200 during power-loss runs and is ignored otherwise.
-	//gcsvet:inert
-	ResyncMBps float64
 }
 
 // DiskFault schedules one whole-device failure for fault-injected runs.
@@ -398,8 +392,10 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors beyond what the subsystems check.
 func (c Config) Validate() error {
-	if c.Disks < 2 {
-		return fmt.Errorf("gcsteering: Disks %d too few", c.Disks)
+	// The geometry comes first: the checks below divide by its page size
+	// and block size.
+	if err := c.Flash.Validate(); err != nil {
+		return err
 	}
 	if c.StripeUnitKB <= 0 || (c.StripeUnitKB*1024)%c.Flash.PageSize != 0 {
 		return fmt.Errorf("gcsteering: StripeUnitKB %d not a page multiple", c.StripeUnitKB)
@@ -413,6 +409,11 @@ func (c Config) Validate() error {
 	if !(c.PrefillOverwrite >= 0 && !math.IsInf(c.PrefillOverwrite, 1)) {
 		return fmt.Errorf("gcsteering: PrefillOverwrite %v must be finite and non-negative", c.PrefillOverwrite)
 	}
+	// The layout New and Capacity build: an unknown level, or too few
+	// disks for the level, is rejected here rather than panicking there.
+	if err := c.layout().Validate(); err != nil {
+		return err
+	}
 	if c.Scheme == SchemeSteering && c.Staging == StagingReserved && c.ReservedFrac == 0 {
 		return fmt.Errorf("gcsteering: reserved staging needs ReservedFrac > 0")
 	}
@@ -420,16 +421,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gcsteering: RebuildToStaging needs a staging space (scheme %v has none)", c.Scheme)
 	}
 	// Every bandwidth cap must pace its transfers (a stripe unit for the
-	// rebuild, a whole stripe for the scrub and the resync) within
-	// sim.Horizon.
+	// rebuild, a whole stripe for the scrub) within sim.Horizon.
 	unitBytes := int64(c.StripeUnitKB) * 1024
 	caps := []struct {
 		name  string
 		bytes int64
 		mbps  float64
 	}{{"Fault.RebuildMBps", unitBytes, c.Fault.RebuildMBps},
-		{"ScrubMBps", unitBytes * int64(c.Disks), c.ScrubMBps},
-		{"ResyncMBps", unitBytes * int64(c.Disks), c.ResyncMBps}}
+		{"ScrubMBps", unitBytes * int64(c.Disks), c.ScrubMBps}}
 	for _, p := range caps {
 		if err := rebuild.CheckPace(p.bytes, p.mbps); err != nil {
 			return fmt.Errorf("gcsteering: %s %w", p.name, err)
@@ -460,15 +459,6 @@ func (c Config) Validate() error {
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("gcsteering: MaxRetries %d negative", c.MaxRetries)
 	}
-	if c.HedgedReads && c.Level != RAID5 && c.Level != RAID6 {
-		return fmt.Errorf("gcsteering: HedgedReads needs RAID5/6 parity (level %v)", c.Level)
-	}
-	if c.PowerLossAtMs > 0 && c.Level != RAID5 && c.Level != RAID6 {
-		return fmt.Errorf("gcsteering: PowerLossAtMs needs RAID5/6 parity (level %v)", c.Level)
-	}
-	if err := c.Flash.Validate(); err != nil {
-		return err
-	}
 	if err := c.Fault.plan(c.Seed).Validate(c.Disks, c.Flash.Channels); err != nil {
 		return err
 	}
@@ -479,13 +469,12 @@ func (c Config) Validate() error {
 // without building the system. The cluster layer sizes tenant volumes from
 // it before any shard exists, and GenerateWorkload sizes traces by it.
 func (c Config) Capacity() int64 {
-	lay := raid.Layout{
-		Level:     c.Level,
-		Disks:     c.Disks,
-		UnitPages: c.unitPages(),
-		DiskPages: c.diskPages(),
-	}
-	return int64(lay.LogicalPages()) * int64(c.Flash.PageSize)
+	return int64(c.layout().LogicalPages()) * int64(c.Flash.PageSize)
+}
+
+// layout is the array layout the Config describes.
+func (c Config) layout() raid.Layout {
+	return raid.Layout{Level: c.Level, Disks: c.Disks, UnitPages: c.unitPages(), DiskPages: c.diskPages()}
 }
 
 // GenerateWorkload synthesizes up to maxRequests of the named Table I

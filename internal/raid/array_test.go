@@ -287,40 +287,6 @@ func TestRAID6WriteUpdatesBothParities(t *testing.T) {
 	}
 }
 
-func TestRAID1WriteMirrorsReadBalances(t *testing.T) {
-	lay := Layout{Level: RAID1, Disks: 2, UnitPages: 16, DiskPages: 256}
-	eng, a, fakes := newFakeArray(t, lay)
-	a.Write(0, 0, 1, nil)
-	eng.Run()
-	if len(fakes[0].writes) != 1 || len(fakes[1].writes) != 1 {
-		t.Fatal("RAID1 write did not mirror")
-	}
-	a.Read(eng.Now(), 0, 1, nil)
-	a.Read(eng.Now(), 0, 1, nil)
-	eng.Run()
-	if len(fakes[0].reads) != 1 || len(fakes[1].reads) != 1 {
-		t.Fatalf("RAID1 reads not balanced: %d/%d", len(fakes[0].reads), len(fakes[1].reads))
-	}
-}
-
-func TestRAID0WriteDirect(t *testing.T) {
-	lay := Layout{Level: RAID0, Disks: 4, UnitPages: 16, DiskPages: 256}
-	eng, a, fakes := newFakeArray(t, lay)
-	var doneAt sim.Time
-	a.Write(0, 0, 1, func(tm sim.Time) { doneAt = tm })
-	eng.Run()
-	if doneAt != 100 {
-		t.Fatalf("RAID0 write at %v, want 100 (no parity, no RMW)", doneAt)
-	}
-	total := 0
-	for _, f := range fakes {
-		total += len(f.writes) + len(f.reads)
-	}
-	if total != 1 {
-		t.Fatalf("RAID0 single-page write produced %d sub-ops", total)
-	}
-}
-
 func TestRouteHookClaimsOps(t *testing.T) {
 	eng, a, fakes := newFakeArray(t, raid5Layout())
 	var claimed []SubOp
@@ -396,14 +362,6 @@ func TestFailRepairCycle(t *testing.T) {
 	}
 	if err := a.RepairDisk(repl); err == nil {
 		t.Fatal("replacement already in slot 2 accepted for slot 0")
-	}
-}
-
-func TestRAID0CannotDegrade(t *testing.T) {
-	lay := Layout{Level: RAID0, Disks: 4, UnitPages: 16, DiskPages: 256}
-	_, a, _ := newFakeArray(t, lay)
-	if err := a.FailDisk(0); err == nil {
-		t.Fatal("RAID0 FailDisk accepted")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package raid implements the RAID substrate the paper's prototype sits on:
 // Galois-field arithmetic and parity codecs operating on real bytes, stripe
-// layout address math for RAID0/1/5/6 (left-symmetric RAID5 as in Linux MD),
+// layout address math for RAID5/6 (left-symmetric RAID5 as in Linux MD),
 // a byte-accurate in-memory array used to prove codec/layout correctness,
 // and the timed Array that models request fan-out, read-modify-write parity
 // updates, degraded reads and disk replacement on the simulation clock.

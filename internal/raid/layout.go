@@ -2,23 +2,19 @@ package raid
 
 import "fmt"
 
-// Level enumerates the supported RAID levels.
+// Level enumerates the supported RAID levels: the parity organisations
+// GC-Steering relies on to redirect around, and rebuild, a member. The zero
+// value is the paper's RAID5.
 type Level int
 
 const (
-	RAID0 Level = iota
-	RAID1
-	RAID5
+	RAID5 Level = iota
 	RAID6
 )
 
 // String returns the conventional level name.
 func (l Level) String() string {
 	switch l {
-	case RAID0:
-		return "RAID0"
-	case RAID1:
-		return "RAID1"
 	case RAID5:
 		return "RAID5"
 	case RAID6:
@@ -49,7 +45,7 @@ type Layout struct {
 
 // Validate reports whether the layout is consistent.
 func (l Layout) Validate() error {
-	min := map[Level]int{RAID0: 2, RAID1: 2, RAID5: 3, RAID6: 4}
+	min := map[Level]int{RAID5: 3, RAID6: 4}
 	m, ok := min[l.Level]
 	if !ok {
 		return fmt.Errorf("raid: unknown level %d", int(l.Level))
@@ -70,10 +66,6 @@ func (l Layout) Validate() error {
 // DataDisks is the number of data-bearing units per stripe.
 func (l Layout) DataDisks() int {
 	switch l.Level {
-	case RAID0:
-		return l.Disks
-	case RAID1:
-		return 1
 	case RAID5:
 		return l.Disks - 1
 	case RAID6:
@@ -94,16 +86,8 @@ func (l Layout) StripeOf(p int) int {
 	return p / (l.UnitPages * l.DataDisks())
 }
 
-// ParityDisk returns the disk holding P for stripe s, or -1 for levels
-// without parity.
-func (l Layout) ParityDisk(s int) int {
-	switch l.Level {
-	case RAID5, RAID6:
-		return l.Disks - 1 - s%l.Disks
-	default:
-		return -1
-	}
-}
+// ParityDisk returns the disk holding P for stripe s.
+func (l Layout) ParityDisk(s int) int { return l.Disks - 1 - s%l.Disks }
 
 // QDisk returns the disk holding Q for stripe s (RAID6 only, else -1).
 func (l Layout) QDisk(s int) int {
@@ -116,10 +100,6 @@ func (l Layout) QDisk(s int) int {
 // DataDisk returns the disk holding data unit idx (0-based) of stripe s.
 func (l Layout) DataDisk(s, idx int) int {
 	switch l.Level {
-	case RAID0:
-		return idx
-	case RAID1:
-		return 0 // primary copy; mirrors replicate it
 	case RAID5:
 		return (l.ParityDisk(s) + 1 + idx) % l.Disks
 	case RAID6:
@@ -133,13 +113,6 @@ func (l Layout) DataDisk(s, idx int) int {
 // disk d in stripe s, or -1 when d holds parity in that stripe.
 func (l Layout) DataIndex(s, d int) int {
 	switch l.Level {
-	case RAID0:
-		return d
-	case RAID1:
-		if d == 0 {
-			return 0
-		}
-		return -1
 	case RAID5:
 		pd := l.ParityDisk(s)
 		if d == pd {
@@ -160,9 +133,8 @@ func (l Layout) DataIndex(s, d int) int {
 // UnitPage returns the first disk page of stripe s's units.
 func (l Layout) UnitPage(s int) int { return s * l.UnitPages }
 
-// Map translates logical array page p to its primary location. For RAID1
-// the primary is disk 0; mirrors are handled by the array. The offset
-// within the unit is preserved. An out-of-range page is a caller error,
+// Map translates logical array page p to its location. The offset within
+// the unit is preserved. An out-of-range page is a caller error,
 // returned rather than panicking: Map sits on the public request path.
 func (l Layout) Map(p int) (Loc, error) {
 	if p < 0 || p >= l.LogicalPages() {

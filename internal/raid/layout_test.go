@@ -4,8 +4,6 @@ import "testing"
 
 func layouts() []Layout {
 	return []Layout{
-		{Level: RAID0, Disks: 4, UnitPages: 16, DiskPages: 256},
-		{Level: RAID1, Disks: 2, UnitPages: 16, DiskPages: 256},
 		{Level: RAID5, Disks: 5, UnitPages: 16, DiskPages: 256},
 		{Level: RAID5, Disks: 7, UnitPages: 16, DiskPages: 256},
 		{Level: RAID6, Disks: 6, UnitPages: 16, DiskPages: 256},
@@ -33,10 +31,13 @@ func TestLayoutValidate(t *testing.T) {
 }
 
 func TestLevelString(t *testing.T) {
-	for l, want := range map[Level]string{RAID0: "RAID0", RAID1: "RAID1", RAID5: "RAID5", RAID6: "RAID6"} {
+	for l, want := range map[Level]string{RAID5: "RAID5", RAID6: "RAID6", Level(2): "Level(2)"} {
 		if l.String() != want {
 			t.Errorf("String() = %q", l.String())
 		}
+	}
+	if (Layout{}).Level != RAID5 {
+		t.Error("the zero Level is not RAID5")
 	}
 }
 
@@ -92,10 +93,11 @@ func TestDataIndexInvertsDataDisk(t *testing.T) {
 					t.Fatalf("%v stripe %d: DataIndex(DataDisk(%d)) = %d", l.Level, s, idx, got)
 				}
 			}
-			if l.Level == RAID5 || l.Level == RAID6 {
-				if l.DataIndex(s, l.ParityDisk(s)) != -1 {
-					t.Fatalf("%v: parity disk reported as data", l.Level)
-				}
+			if pd := l.ParityDisk(s); pd < 0 || pd >= l.Disks {
+				t.Fatalf("%v stripe %d: ParityDisk = %d outside [0, %d)", l.Level, s, pd, l.Disks)
+			}
+			if l.DataIndex(s, l.ParityDisk(s)) != -1 {
+				t.Fatalf("%v: parity disk reported as data", l.Level)
 			}
 			if l.Level == RAID6 {
 				if l.DataIndex(s, l.QDisk(s)) != -1 {
@@ -109,9 +111,6 @@ func TestDataIndexInvertsDataDisk(t *testing.T) {
 // Each stripe must place every unit (data + parity) on a distinct disk.
 func TestStripeUnitsDistinctDisks(t *testing.T) {
 	for _, l := range layouts() {
-		if l.Level == RAID1 {
-			continue
-		}
 		for s := 0; s < l.Stripes(); s++ {
 			used := map[int]bool{}
 			add := func(d int) {
@@ -164,7 +163,7 @@ func TestMapBijective(t *testing.T) {
 }
 
 func TestMapOutOfRangeErrors(t *testing.T) {
-	l := layouts()[2]
+	l := layouts()[0]
 	for _, p := range []int{-1, l.LogicalPages()} {
 		if _, err := l.Map(p); err == nil {
 			t.Errorf("Map(%d) did not error", p)

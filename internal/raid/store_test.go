@@ -77,9 +77,6 @@ func TestStoreRandomOverwrites(t *testing.T) {
 
 func TestDegradedReadsRecoverData(t *testing.T) {
 	for _, l := range layouts() {
-		if l.Level == RAID0 {
-			continue
-		}
 		for fail := 0; fail < l.Disks; fail++ {
 			s := newStore(t, l)
 			rng := rand.New(rand.NewSource(int64(12 + fail)))
@@ -98,25 +95,8 @@ func TestDegradedReadsRecoverData(t *testing.T) {
 	}
 }
 
-func TestRAID0CannotFail(t *testing.T) {
-	l := layouts()[0]
-	s := newStore(t, l)
-	fillRandom(t, s, rand.New(rand.NewSource(13)))
-	// RAID0 has zero fault tolerance, so the store refuses the failure
-	// outright rather than silently losing data.
-	if err := s.FailDisk(1); err == nil {
-		t.Fatal("RAID0 FailDisk should be rejected")
-	}
-	if err := s.Reconstruct(); err == nil {
-		t.Fatal("RAID0 reconstruct should fail")
-	}
-}
-
 func TestDegradedWritesThenReconstruct(t *testing.T) {
 	for _, l := range layouts() {
-		if l.Level == RAID0 {
-			continue
-		}
 		for fail := 0; fail < l.Disks; fail++ {
 			s := newStore(t, l)
 			rng := rand.New(rand.NewSource(int64(100 + fail)))
@@ -163,7 +143,7 @@ func TestDegradedWritesThenReconstruct(t *testing.T) {
 }
 
 func TestDoubleFailureRejected(t *testing.T) {
-	s := newStore(t, layouts()[2])
+	s := newStore(t, layouts()[0])
 	s.FailDisk(0)
 	if err := s.FailDisk(1); err == nil {
 		t.Fatal("second failure accepted")
@@ -171,14 +151,14 @@ func TestDoubleFailureRejected(t *testing.T) {
 }
 
 func TestReconstructWithoutFailure(t *testing.T) {
-	s := newStore(t, layouts()[2])
+	s := newStore(t, layouts()[0])
 	if err := s.Reconstruct(); err == nil {
 		t.Fatal("Reconstruct on healthy array should error")
 	}
 }
 
 func TestWriteValidation(t *testing.T) {
-	s := newStore(t, layouts()[2])
+	s := newStore(t, layouts()[0])
 	if err := s.Write(0, make([]byte, testPageSize-1)); err == nil {
 		t.Fatal("non-page-multiple write accepted")
 	}
@@ -206,9 +186,6 @@ func TestQuickStoreFaultRoundTrip(t *testing.T) {
 	ls := layouts()
 	f := func(sp spec) bool {
 		l := ls[int(sp.Variant)%len(ls)]
-		if l.Level == RAID0 {
-			l = ls[2]
-		}
 		s, err := NewStore(l, testPageSize)
 		if err != nil {
 			t.Fatal(err)
@@ -271,7 +248,7 @@ func min(a, b int) int {
 }
 
 func TestCorruptValidation(t *testing.T) {
-	s := newStore(t, layouts()[2])
+	s := newStore(t, layouts()[0])
 	if err := s.Corrupt(-1, 0); err == nil {
 		t.Fatal("negative disk accepted")
 	}
@@ -291,9 +268,6 @@ func TestCorruptValidation(t *testing.T) {
 // page in place from redundancy.
 func TestReadDetectsAndRepairsCorruption(t *testing.T) {
 	for _, l := range layouts() {
-		if l.Level == RAID0 {
-			continue
-		}
 		s := newStore(t, l)
 		shadow := fillRandom(t, s, rand.New(rand.NewSource(40)))
 		// Corrupt the first data page of stripe 1 on its data disk.
@@ -330,9 +304,6 @@ func TestReadDetectsAndRepairsCorruption(t *testing.T) {
 // byte-identical, parity-consistent array.
 func TestScrubPassRepairsDataAndParityCorruption(t *testing.T) {
 	for _, l := range layouts() {
-		if l.Level == RAID0 {
-			continue
-		}
 		s := newStore(t, l)
 		shadow := fillRandom(t, s, rand.New(rand.NewSource(41)))
 		want := 2
@@ -380,7 +351,7 @@ func TestScrubPassRepairsDataAndParityCorruption(t *testing.T) {
 // fail loudly and the scrub must count it unrecoverable, never fabricate
 // data.
 func TestCorruptionBeyondRedundancyIsAnError(t *testing.T) {
-	l := layouts()[2] // RAID5
+	l := layouts()[0] // RAID5
 	s := newStore(t, l)
 	fillRandom(t, s, rand.New(rand.NewSource(42)))
 	if err := s.FailDisk(l.DataDisk(0, 1)); err != nil {
@@ -403,7 +374,7 @@ func TestCorruptionBeyondRedundancyIsAnError(t *testing.T) {
 // TestRAID6SurvivesCorruptionDuringDegradedRead: RAID6's second parity
 // covers a corrupt survivor page even with one member already failed.
 func TestRAID6SurvivesCorruptionDuringDegradedRead(t *testing.T) {
-	l := layouts()[4] // RAID6
+	l := layouts()[2] // RAID6
 	s := newStore(t, l)
 	shadow := fillRandom(t, s, rand.New(rand.NewSource(43)))
 	if err := s.FailDisk(l.DataDisk(0, 1)); err != nil {

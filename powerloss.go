@@ -9,6 +9,9 @@ import (
 	"gcsteering/internal/sim"
 )
 
+// resyncMBps caps the post-crash resync read bandwidth (MB/s).
+const resyncMBps = 200
+
 // CrashStats describes one power-loss run: what the cut interrupted, what
 // the crash physically left inconsistent, and what the post-restart resync
 // found and repaired (Results.Crash).
@@ -222,11 +225,7 @@ func (s *System) powerLoss(tr Trace) (*Results, error) {
 			stripes[i] = i
 		}
 	}
-	mbps := cfg.ResyncMBps
-	if mbps <= 0 {
-		mbps = 200
-	}
-	rs, err := scrub.NewResync(sysB.eng, sysB.arr, mbps, cfg.Flash.PageSize, stripes)
+	rs, err := scrub.NewResync(sysB.eng, sysB.arr, resyncMBps, cfg.Flash.PageSize, stripes)
 	if err != nil {
 		return nil, err
 	}

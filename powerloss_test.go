@@ -206,14 +206,13 @@ func TestPowerLossObserveRequests(t *testing.T) {
 }
 
 // TestPowerLossKnobsInert pins the zero-cost guarantee: with PowerLossAtMs
-// = 0, Replay is a plain replay and the crash-consistency knobs change
-// nothing — the trace is byte identical to a run without them.
+// = 0, Replay is a plain replay and the intent journal changes nothing —
+// the trace is byte identical to a run without it.
 func TestPowerLossKnobsInert(t *testing.T) {
-	run := func(journal bool, resync float64) string {
+	run := func(journal bool) string {
 		cfg := smallConfig(SchemeLGC)
 		cfg.PowerLossAtMs = 0
 		cfg.IntentJournal = journal
-		cfg.ResyncMBps = resync
 		var buf bytes.Buffer
 		cfg.Trace = NewTracer(&buf)
 		tr := crashTrace(t, cfg, 800)
@@ -225,9 +224,8 @@ func TestPowerLossKnobsInert(t *testing.T) {
 		}
 		return buf.String()
 	}
-	base := run(false, 0)
-	if withKnobs := run(true, 500); withKnobs != base {
-		t.Fatal("IntentJournal/ResyncMBps changed the trace without a power loss")
+	if run(true) != run(false) {
+		t.Fatal("IntentJournal changed the trace without a power loss")
 	}
 }
 

@@ -32,7 +32,7 @@ func TestMalformedConfigsErrorNotPanic(t *testing.T) {
 		},
 		func(c *Config) { c.Fault.Slowdowns = []DiskSlowdown{{Disk: 0, StartMs: -1, DurationMs: 1}} },
 		func(c *Config) { c.ScrubMBps = math.NaN() },
-		func(c *Config) { c.Level = RAID0; c.HedgedReads = true },
+		func(c *Config) { c.Level = Level(99) },
 	}
 	for i, mutate := range cases {
 		cfg := smallConfig(SchemeLGC)

@@ -153,13 +153,7 @@ func (w *Warmup) New(cfg Config) (*System, error) {
 		s.devs = append(s.devs, d)
 		s.disks = append(s.disks, d)
 	}
-	lay := raid.Layout{
-		Level:     cfg.Level,
-		Disks:     cfg.Disks,
-		UnitPages: cfg.unitPages(),
-		DiskPages: cfg.diskPages(),
-	}
-	arr, err := raid.NewArray(s.eng, lay, s.disks)
+	arr, err := raid.NewArray(s.eng, cfg.layout(), s.disks)
 	if err != nil {
 		return nil, err
 	}

@@ -40,6 +40,12 @@ func TestConfigValidation(t *testing.T) {
 		set  func(*Config)
 	}{
 		{"1 disk", func(c *Config) { c.Disks = 1 }},
+		// Both used to pass Validate: the unknown level then panicked in
+		// Capacity and GenerateWorkload, and RAID6 on 3 disks failed in New.
+		{"unknown level", func(c *Config) { c.Level = Level(99) }},
+		{"RAID6 on 3 disks", func(c *Config) { c.Level = RAID6; c.Disks = 3 }},
+		// Used to divide by zero inside Validate.
+		{"zero page size", func(c *Config) { c.Flash.PageSize = 0 }},
 		{"non-page stripe unit", func(c *Config) { c.StripeUnitKB = 3 }},
 		{"huge reservation", func(c *Config) { c.ReservedFrac = 0.9 }},
 		{"reserved staging without reservation", func(c *Config) {
@@ -97,7 +103,6 @@ func TestBandwidthCapsValidated(t *testing.T) {
 	}{
 		{"Fault.RebuildMBps", func(c *Config, v float64) { c.Fault.RebuildMBps = v }},
 		{"ScrubMBps", func(c *Config, v float64) { c.ScrubMBps = v }},
-		{"ResyncMBps", func(c *Config, v float64) { c.ResyncMBps = v }},
 	}
 	for _, f := range caps {
 		for _, v := range []float64{1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
