@@ -467,7 +467,9 @@ func (c Config) Validate() error {
 
 // Capacity returns the array's host-visible logical capacity in bytes
 // without building the system. The cluster layer sizes tenant volumes from
-// it before any shard exists, and GenerateWorkload sizes traces by it.
+// it before any shard exists, and GenerateWorkload sizes traces by it. It
+// needs a Config that Validate accepts: on one it rejects, such as an
+// unknown Level, it may panic.
 func (c Config) Capacity() int64 {
 	return int64(c.layout().LogicalPages()) * int64(c.Flash.PageSize)
 }
@@ -481,8 +483,12 @@ func (c Config) layout() raid.Layout {
 // profile sized to the array's capacity (maxRequests <= 0 keeps the full
 // published request count), without building the system. A trace depends
 // only on the capacity and the seed, so a caller can derive fault instants
-// and bandwidth caps from it before the one build that replays it.
+// and bandwidth caps from it before the one build that replays it. A
+// Config that Validate rejects returns Validate's error.
 func (c Config) GenerateWorkload(profile string, maxRequests int) (Trace, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
 	p, ok := workload.ByName(profile)
 	if !ok {
 		return nil, fmt.Errorf("gcsteering: unknown profile %q (have %v)", profile, workload.Names())

@@ -22,7 +22,8 @@
 // replica. A real router acts on telemetry from the recent past, not on
 // the instantaneous device state its own routing will change; the
 // two-pass scheme models exactly that separation (and keeps each pass
-// deterministic).
+// deterministic). The first pass is the PolicyHash run of the same
+// Config, so Run returns it as ClusterResults.Baseline.
 package cluster
 
 import (
@@ -318,12 +319,14 @@ func Run(c Config) (*ClusterResults, error) {
 	}
 
 	var busy []busyTimeline
+	var baseline *ClusterResults
 	if c.Policy == PolicySteering {
-		// Profile pass: routing without diversion, with busy recording. No
-		// tracers — this pass only yields the steering signal.
+		// Profile pass: routing without diversion, with busy recording —
+		// exactly the hash-only run, so it is aggregated as the baseline.
+		// No tracers: the trace covers the steering pass only.
 		profileRt := newRouter(&c, eff, capacity)
 		profileRt.route(admitted, nil, nil)
-		profile, _, err := c.runShards(profileRt.traces(), eff.plans, nil)
+		profile, profileStats, err := c.runShards(profileRt.traces(), eff.plans, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -333,6 +336,8 @@ func Run(c Config) (*ClusterResults, error) {
 				busy[a] = newBusyTimeline(r.Busy)
 			}
 		}
+		baseline = c.aggregate(admitted, shedPerTenant, profileRt, profile, profileStats)
+		baseline.Policy = PolicyHash
 	}
 
 	// Routing pass (single-threaded): sweep the admitted stream through
@@ -367,7 +372,9 @@ func Run(c Config) (*ClusterResults, error) {
 		}
 	}
 
-	return c.aggregate(admitted, shedPerTenant, rt, results, stats), nil
+	out := c.aggregate(admitted, shedPerTenant, rt, results, stats)
+	out.Baseline = baseline
+	return out, nil
 }
 
 // admit synthesizes every tenant's trace, merges them into one

@@ -119,6 +119,13 @@ type ClusterResults struct {
 	PerArray []ArrayResults
 	// Failures reports the run's whole-array crashes in schedule order.
 	Failures []FailureEvent
+	// Baseline is, under PolicySteering, the hash-only run of the same
+	// Config: the profile pass that yields the busy windows routes without
+	// diversion over the same admitted stream, plans and seeds, so it is
+	// aggregated here instead of being replayed a second time. Its own
+	// Baseline is nil, as is Baseline under PolicyHash. A Config.Trace
+	// covers the GC-aware pass only, and String leaves Baseline out.
+	Baseline *ClusterResults
 }
 
 // WorstTenantP99 returns the highest per-tenant P99 (ns) — the fleet's

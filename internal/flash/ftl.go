@@ -185,6 +185,55 @@ func (f *FTL) Write(lpn int) int {
 	return ppn
 }
 
+// Fill maps logical pages 0..n-1 on a fresh FTL exactly as n Write calls
+// in logical order would, without the per-page allocation path: page i
+// lands on channel (nextChan+i) mod Channels, so each channel takes every
+// Channels-th page, filling blocks popped from its free stack in order.
+// The last block opened on each channel stays active even when full, as
+// allocate leaves it. Fill panics on an FTL that has opened a block or
+// mapped a page, and where the per-page path would find a channel with no
+// room and skip it.
+func (f *FTL) Fill(n int) {
+	if n < 0 || n > len(f.l2p) {
+		panic(fmt.Sprintf("flash: Fill of %d pages outside [0,%d]", n, len(f.l2p)))
+	}
+	if f.freeBlocks != f.geom.Blocks || f.mappedPages != 0 {
+		panic("flash: Fill needs a fresh FTL")
+	}
+	chans, ppb := f.geom.Channels, f.geom.PagesPerBlock
+	for k := 0; k < chans && k < n; k++ {
+		c := (f.nextChan + k) % chans
+		pages := (n - k + chans - 1) / chans // pages k, k+chans, ... < n
+		used := (pages + ppb - 1) / ppb
+		free := f.freeByChan[c]
+		if used > len(free) {
+			panic(fmt.Sprintf("flash: Fill of %d pages overflows channel %d", n, c))
+		}
+		lpn := k
+		for j := 0; j < used; j++ {
+			b := free[len(free)-1-j]
+			inBlock := min(ppb, pages-j*ppb)
+			for off := 0; off < inBlock; off++ {
+				ppn := b<<f.shift | off
+				f.l2p[lpn] = int32(ppn)
+				f.p2l[ppn] = int32(lpn)
+				lpn += chans
+			}
+			f.blocks[b].state = blockFull
+			f.blocks[b].validPages = int32(inBlock)
+			f.blocks[b].writePtr = int32(inBlock)
+		}
+		last := free[len(free)-used]
+		f.blocks[last].state = blockActive
+		f.activeBlock[c] = last
+		f.freeByChan[c] = free[:len(free)-used]
+		f.freeBlocks -= used
+	}
+	f.nextChan = (f.nextChan + n) % chans
+	f.mappedPages = n
+	f.hostWrites += int64(n)
+}
+
 // Trim drops the mapping for lpn, marking its physical page invalid.
 func (f *FTL) Trim(lpn int) {
 	f.checkLPN(lpn)

@@ -186,6 +186,88 @@ func TestFillToCapacity(t *testing.T) {
 	}
 }
 
+// TestFillMatchesWriteLoop checks Fill against the per-page path it
+// replaces: on a fresh FTL, Fill(n) must leave the exact state n in-order
+// Writes leave — mappings, block metadata, free stacks, active blocks,
+// cursor and counters — and the two must stay identical through a GC'd
+// random overwrite phase afterwards.
+func TestFillMatchesWriteLoop(t *testing.T) {
+	geom := func(ppb, blocks, chans int, op float64) Geometry {
+		return Geometry{PageSize: 4096, PagesPerBlock: ppb, Blocks: blocks, Channels: chans, OverProvision: op}
+	}
+	full := -1 // n = LogicalPages()
+	cases := []struct {
+		name string
+		g    Geometry
+		n    int
+	}{
+		{"32 pages, full", testGeom(), full},
+		{"32 pages, partial block", testGeom(), 1001},
+		{"24 pages, full", testGeoms()[1], full},
+		{"100 pages, full", geom(100, 64, 4, 0.2), full},
+		{"100 pages, half", geom(100, 64, 4, 0.2), 2550},
+		{"fewer pages than channels", testGeom(), 3},
+		{"one page", testGeom(), 1},
+		{"no pages", testGeom(), 0},
+		{"1 page per block, 1 channel", geom(1, 40, 1, 0.3), full},
+		{"7 pages, 8 channels", geom(7, 128, 8, 0.2), full},
+	}
+	for _, c := range cases {
+		n := c.n
+		if n == full {
+			n = c.g.LogicalPages()
+		}
+		want, got := mustFTL(t, c.g), mustFTL(t, c.g)
+		for lpn := 0; lpn < n; lpn++ {
+			want.Write(lpn)
+		}
+		got.Fill(n)
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Fill(%d) differs from %d in-order writes", c.name, n, n)
+		}
+		if n == 0 {
+			continue
+		}
+		churn(want, 5, 4*c.g.LogicalPages())
+		churn(got, 5, 4*c.g.LogicalPages())
+		if want.Erases() == 0 {
+			t.Fatalf("%s: the overwrite phase never collected; test is vacuous", c.name)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Fill(%d) and the write loop diverge under the same overwrites", c.name, n)
+		}
+	}
+}
+
+// TestFillPanics checks that Fill refuses what it cannot place exactly as
+// the write loop would: an FTL that has written a page, and a page count
+// outside the logical range.
+func TestFillPanics(t *testing.T) {
+	written := mustFTL(t, testGeom())
+	written.Write(5)
+	for _, c := range []struct {
+		name string
+		f    *FTL
+		n    int
+	}{
+		{"written FTL", written, 10},
+		{"negative count", mustFTL(t, testGeom()), -1},
+		{"past the logical range", mustFTL(t, testGeom()), testGeom().LogicalPages() + 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Fill(%d) did not panic", c.name, c.n)
+				}
+			}()
+			c.f.Fill(c.n)
+		}()
+	}
+}
+
 func TestGCReclaimsSpace(t *testing.T) {
 	f := mustFTL(t, testGeom())
 	fillSequential(f)

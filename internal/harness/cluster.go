@@ -101,43 +101,46 @@ func clusterConfig(o Options, sc clusterScenario, policy cluster.Policy) cluster
 }
 
 // Cluster runs the fleet-scale grid: three scenarios × {hash-only,
-// gc-aware} routing over an 8-array, 16-tenant fleet. Cells run
-// sequentially — each cell already fans its shards out over the worker
-// pool, and sequential cells keep the grid deterministic trivially.
+// gc-aware} routing over an 8-array, 16-tenant fleet. Each scenario is one
+// cluster.Run under PolicySteering: its profile pass is the hash-only
+// cell (ClusterResults.Baseline) and its steering pass the gc-aware cell,
+// so both cells share one admission pass and one hash-only replay.
+// Scenarios run sequentially — each run already fans its shards out over
+// the worker pool, and sequential runs keep the grid deterministic
+// trivially.
 func Cluster(o Options) (*Grid, error) {
 	scenarios := clusterScenarios()
-	policies := []cluster.Policy{cluster.PolicyHash, cluster.PolicySteering}
 	workloads := make([]string, len(scenarios))
 	for i, sc := range scenarios {
 		workloads[i] = sc.name
 	}
-	variants := make([]string, len(policies))
-	for i, p := range policies {
-		variants[i] = p.String()
-	}
+	hash, aware := cluster.PolicyHash.String(), cluster.PolicySteering.String()
 	g := newGrid(fmt.Sprintf("Fleet simulation: %d arrays × %d tenants, consistent-hash placement, hash-only vs GC/rebuild-aware routing",
-		clusterArrays, clusterTenants), workloads, variants)
+		clusterArrays, clusterTenants), workloads, []string{hash, aware})
 
 	memo := new(gcsteering.Warmup)
 	for _, sc := range scenarios {
-		for _, p := range policies {
-			cc := clusterConfig(o, sc, p)
-			cc.Warmup = memo
-			r, err := cluster.Run(cc)
-			if err != nil {
-				return nil, fmt.Errorf("cluster %s/%s: %w", sc.name, p, err)
-			}
-			c := Cell{sc.name, p.String()}
-			g.Mean[c] = r.Latency.Mean / 1e3
-			g.addAux("cluster p99 (µs)", c, float64(r.Latency.P99)/1e3)
-			g.addAux("read p99 (µs)", c, float64(r.ReadLatency.P99)/1e3)
-			g.addAux("worst tenant p99 (µs)", c, float64(r.WorstTenantP99())/1e3)
-			g.addAux("worst tenant read p99 (µs)", c, float64(r.WorstTenantReadP99())/1e3)
-			g.addAux("redirects", c, float64(r.Redirects))
-			g.addAux("shed", c, float64(r.Shed))
-			g.addAux("rejected", c, float64(r.Rejected))
-			g.addAux("wov (ms)", c, float64(r.WOV)/1e6)
+		cc := clusterConfig(o, sc, cluster.PolicySteering)
+		cc.Warmup = memo
+		r, err := cluster.Run(cc)
+		if err != nil {
+			return nil, fmt.Errorf("cluster %s: %w", sc.name, err)
 		}
+		g.addCluster(Cell{sc.name, hash}, r.Baseline)
+		g.addCluster(Cell{sc.name, aware}, r)
 	}
 	return g, nil
+}
+
+// addCluster records one fleet run as cell c.
+func (g *Grid) addCluster(c Cell, r *cluster.ClusterResults) {
+	g.Mean[c] = r.Latency.Mean / 1e3
+	g.addAux("cluster p99 (µs)", c, float64(r.Latency.P99)/1e3)
+	g.addAux("read p99 (µs)", c, float64(r.ReadLatency.P99)/1e3)
+	g.addAux("worst tenant p99 (µs)", c, float64(r.WorstTenantP99())/1e3)
+	g.addAux("worst tenant read p99 (µs)", c, float64(r.WorstTenantReadP99())/1e3)
+	g.addAux("redirects", c, float64(r.Redirects))
+	g.addAux("shed", c, float64(r.Shed))
+	g.addAux("rejected", c, float64(r.Rejected))
+	g.addAux("wov (ms)", c, float64(r.WOV)/1e6)
 }

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"gcsteering"
 	"gcsteering/internal/cluster"
 )
 
@@ -92,6 +94,52 @@ func TestClusterConfigUsesOptions(t *testing.T) {
 	for _, tn := range c.Tenants {
 		if tn.Requests != per {
 			t.Fatalf("tenant %s requests %d, want %d", tn.Name, tn.Requests, per)
+		}
+	}
+}
+
+// TestClusterBaselineIsHashRun pins what lets Cluster fill both of a
+// scenario's cells from one run: under PolicySteering, Run's profile pass,
+// returned as Baseline, is the PolicyHash run of the same Config — with 1
+// or 2 shard workers, with or without a warm-up memo shared by both runs.
+func TestClusterBaselineIsHashRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet simulation")
+	}
+	for _, sc := range clusterScenarios() {
+		for _, sr := range []struct {
+			workers int
+			memo    bool
+		}{{1, false}, {2, false}, {1, true}, {2, true}} {
+			var memo *gcsteering.Warmup
+			if sr.memo {
+				memo = new(gcsteering.Warmup)
+			}
+			run := func(p cluster.Policy) *cluster.ClusterResults {
+				c := clusterConfig(tinyOptions(), sc, p)
+				c.Workers = sr.workers
+				c.Warmup = memo
+				r, err := cluster.Run(c)
+				if err != nil {
+					t.Fatalf("%s/%s %+v: %v", sc.name, p, sr, err)
+				}
+				return r
+			}
+			aware, hash := run(cluster.PolicySteering), run(cluster.PolicyHash)
+			if hash.Baseline != nil {
+				t.Fatalf("%s %+v: hash-only run has a Baseline", sc.name, sr)
+			}
+			base := aware.Baseline
+			if base == nil {
+				t.Fatalf("%s %+v: gc-aware run has no Baseline", sc.name, sr)
+			}
+			if base.Baseline != nil {
+				t.Fatalf("%s %+v: Baseline has its own Baseline", sc.name, sr)
+			}
+			if !reflect.DeepEqual(base, hash) {
+				t.Errorf("%s %+v: Baseline differs from the hash-only run:\nBaseline: %s\nhash-only: %s",
+					sc.name, sr, base, hash)
+			}
 		}
 	}
 }

@@ -580,12 +580,14 @@ func (d *Device) checkRange(lpn, pages int) error {
 // stay unmapped — they carry no host data yet. Passing usedPages <= 0
 // leaves the device completely fresh. All of this is logical only — it
 // consumes no simulated time and is excluded from the device statistics.
+// The device must be fresh, with nothing written yet: the first pass is
+// flash.FTL.Fill, the closed form of writing pages 0..usedPages-1 in order.
 func (d *Device) Prefill(rng *rand.Rand, overwriteFrac float64, usedPages int) {
 	if usedPages > d.LogicalPages() {
 		usedPages = d.LogicalPages()
 	}
-	for lpn := 0; lpn < usedPages; lpn++ {
-		d.ftl.Write(lpn)
+	if usedPages > 0 {
+		d.ftl.Fill(usedPages)
 	}
 	n := int(overwriteFrac * float64(usedPages))
 	for i := 0; i < n; i++ {

@@ -40,6 +40,9 @@ func TestMalformedConfigsErrorNotPanic(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("case %d: malformed config accepted", i)
 		}
+		if _, err := cfg.GenerateWorkload("Fin1", 10); err == nil {
+			t.Errorf("case %d: GenerateWorkload accepted the malformed config", i)
+		}
 	}
 }
 
