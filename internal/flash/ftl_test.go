@@ -422,35 +422,6 @@ func TestEraseCountsAdvance(t *testing.T) {
 	}
 }
 
-func BenchmarkFTLRandomOverwriteWithGC(b *testing.B) {
-	g := DefaultGeometry()
-	f, err := NewFTL(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for lpn := 0; lpn < g.LogicalPages(); lpn++ {
-		f.Write(lpn)
-	}
-	rng := rand.New(rand.NewSource(5))
-	overwrite := func() {
-		f.Write(rng.Intn(g.LogicalPages()))
-		if f.NeedGC(8) {
-			f.CollectUntil(16, 0)
-		}
-	}
-	// Overwrite until the first GC episode, so even a short run measures
-	// writes on a device that collects.
-	for f.Erases() == 0 {
-		overwrite()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		overwrite()
-	}
-	b.ReportMetric(f.WriteAmplification(), "write-amp")
-}
-
 // ftlView is what a caller can observe of an FTL: every translation and
 // the counters.
 type ftlView struct {

@@ -9,9 +9,9 @@
 // The monitor is fed per-op observations from ssd.Device's OnOp hook (via
 // sched.Hub), synchronously with each op issue. It keeps an EWMA of
 // per-page op latency for every member and compares each member against
-// the mean of the others: a device whose EWMA exceeds SlowFactor times its
+// the mean of the others: a device whose EWMA exceeds slowFactor times its
 // peers' (and an absolute floor, so a quiet array never trips) earns a
-// strike; OpenAfter consecutive strikes open the breaker
+// strike; openAfter consecutive strikes open the breaker
 // (closed → open). An open breaker schedules exactly one engine event — the
 // half-open probe — so a healthy array runs with zero extra events and
 // byte-identical traces whether the monitor is enabled or not.
@@ -31,66 +31,36 @@ import (
 	"gcsteering/internal/sim"
 )
 
-// Config tunes the monitor. Zero values select the defaults.
-type Config struct {
-	// Alpha is the EWMA smoothing factor in (0, 1]; larger reacts faster.
-	// Default 0.3.
-	Alpha float64
-	// SlowFactor is how many times slower than the mean of its peers a
-	// member's EWMA must be to earn a strike. Default 4.
-	SlowFactor float64
-	// OpenAfter is how many consecutive strikes open the breaker; the
+// The monitor's thresholds.
+const (
+	// alpha is the EWMA smoothing factor in (0, 1]; larger reacts faster.
+	alpha = 0.3
+	// slowFactor is how many times slower than the mean of its peers a
+	// member's EWMA must be to earn a strike.
+	slowFactor = 4
+	// openAfter is how many consecutive strikes open the breaker; the
 	// hysteresis that keeps one slow op from quarantining a device.
-	// Default 12.
-	OpenAfter int
-	// MinSamples is the per-device warm-up: no strikes until this many
-	// observations have been folded into the EWMA. Default 32.
-	MinSamples int
-	// MinLatency is an absolute per-page latency floor for a strike, so a
+	openAfter = 12
+	// minSamples is the per-device warm-up: no strikes until this many
+	// observations have been folded into the EWMA.
+	minSamples = 32
+	// minLatency is an absolute per-page latency floor for a strike, so a
 	// lightly-loaded array with tiny absolute spreads never quarantines
-	// anyone. Default 500µs.
-	MinLatency sim.Time
-	// ReinstateFactor is the closing threshold: a half-open probe only
+	// anyone.
+	minLatency = 500 * sim.Microsecond
+	// reinstateFactor is the closing threshold: a half-open probe only
 	// reinstates the device when its per-page latency is within this
-	// factor of the least-loaded peer's EWMA (or under MinLatency).
-	// Keeping it well below SlowFactor gives the breaker hysteresis —
+	// factor of the least-loaded peer's EWMA (or under minLatency).
+	// Keeping it well below slowFactor gives the breaker hysteresis —
 	// a symmetric threshold would flap the breaker, reinstating on a
 	// relatively-clean-looking probe and re-striking as soon as real
-	// traffic returns. Default 1.5.
-	ReinstateFactor float64
-	// Backoff is the open → half-open delay, doubling on every failed
-	// probe up to MaxBackoff. Defaults 10ms and 160ms.
-	Backoff    sim.Time
-	MaxBackoff sim.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.SlowFactor <= 0 {
-		c.SlowFactor = 4
-	}
-	if c.OpenAfter <= 0 {
-		c.OpenAfter = 12
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 32
-	}
-	if c.MinLatency <= 0 {
-		c.MinLatency = 500 * sim.Microsecond
-	}
-	if c.ReinstateFactor <= 0 {
-		c.ReinstateFactor = 1.5
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 10 * sim.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 160 * sim.Millisecond
-	}
-	return c
-}
+	// traffic returns.
+	reinstateFactor = 1.5
+	// backoff is the open → half-open delay, doubling on every failed
+	// probe up to maxBackoff.
+	backoff    = 10 * sim.Millisecond
+	maxBackoff = 160 * sim.Millisecond
+)
 
 // Stats aggregates the monitor's cumulative activity.
 type Stats struct {
@@ -130,7 +100,6 @@ type devState struct {
 // single-threaded simulation engine; all state advances on simulated time.
 type Monitor struct {
 	eng   *sim.Engine
-	cfg   Config
 	devs  []devState
 	open  int // devices currently open or half-open
 	stats Stats
@@ -147,8 +116,8 @@ type Monitor struct {
 }
 
 // NewMonitor returns a monitor for n devices.
-func NewMonitor(eng *sim.Engine, n int, cfg Config) *Monitor {
-	return &Monitor{eng: eng, cfg: cfg.withDefaults(), devs: make([]devState, n)}
+func NewMonitor(eng *sim.Engine, n int) *Monitor {
+	return &Monitor{eng: eng, devs: make([]devState, n)}
 }
 
 // Quarantined reports whether dev's breaker is open or half-open — the
@@ -201,7 +170,7 @@ func (m *Monitor) othersMin(dev int) float64 {
 // far above the peers' mean and above the absolute floor.
 func (m *Monitor) slow(dev int, perPage float64) bool {
 	peers := m.othersMean(dev)
-	return peers > 0 && perPage > m.cfg.SlowFactor*peers && perPage > float64(m.cfg.MinLatency)
+	return peers > 0 && perPage > slowFactor*peers && perPage > float64(minLatency)
 }
 
 // Observe folds one op observation into dev's health state. inGC marks
@@ -229,18 +198,18 @@ func (m *Monitor) Observe(now sim.Time, dev int, pages int, latency sim.Time, in
 	if s.samples == 0 {
 		s.ewma = perPage
 	} else {
-		s.ewma += m.cfg.Alpha * (perPage - s.ewma)
+		s.ewma += alpha * (perPage - s.ewma)
 	}
 	s.samples++
 	if s.state != stClosed {
 		return
 	}
-	if s.samples <= m.cfg.MinSamples || !m.slow(dev, s.ewma) {
+	if s.samples <= minSamples || !m.slow(dev, s.ewma) {
 		s.strikes = 0
 		return
 	}
 	s.strikes++
-	if s.strikes >= m.cfg.OpenAfter {
+	if s.strikes >= openAfter {
 		m.openBreaker(now, dev)
 	}
 }
@@ -261,9 +230,9 @@ func (m *Monitor) openBreaker(now sim.Time, dev int) {
 		m.Trace.Emit(now, obs.Event{Kind: obs.KQuarantine, Dev: int32(dev),
 			Page: -1, Aux: int64(s.ewma), Aux2: int64(s.reopens)})
 	}
-	backoff := m.cfg.Backoff << s.reopens
-	if backoff > m.cfg.MaxBackoff || backoff <= 0 {
-		backoff = m.cfg.MaxBackoff
+	wait := backoff << s.reopens
+	if wait > maxBackoff || wait <= 0 {
+		wait = maxBackoff
 	}
 	s.reopens++
 	s.openSeq++
@@ -271,7 +240,7 @@ func (m *Monitor) openBreaker(now sim.Time, dev int) {
 	if wasClosed && m.OnChange != nil {
 		m.OnChange(now, dev, true)
 	}
-	m.eng.At(now+backoff, func(t sim.Time) { m.halfOpen(t, dev, seq) })
+	m.eng.At(now+wait, func(t sim.Time) { m.halfOpen(t, dev, seq) })
 }
 
 // halfOpen transitions dev to half-open and issues the probe op. The probe
@@ -295,11 +264,11 @@ func (m *Monitor) judgeProbe(now sim.Time, dev int, perPage float64) {
 	// Judge against the least-loaded peer, not the mean: under a burst every
 	// member's EWMA is inflated by queueing, and a mean-relative threshold
 	// reinstates a still-slow device exactly when the array is busiest. The
-	// minimum approximates the intrinsic device latency; the MinLatency
+	// minimum approximates the intrinsic device latency; the minLatency
 	// floor keeps a quiet array from holding a recovered device hostage.
-	floor := float64(m.cfg.MinLatency)
-	if peer := m.othersMin(dev); peer > 0 && m.cfg.ReinstateFactor*peer > floor {
-		floor = m.cfg.ReinstateFactor * peer
+	floor := float64(minLatency)
+	if peer := m.othersMin(dev); peer > 0 && reinstateFactor*peer > floor {
+		floor = reinstateFactor * peer
 	}
 	clean := perPage <= floor
 	if m.Trace.Enabled() {
@@ -317,10 +286,10 @@ func (m *Monitor) judgeProbe(now sim.Time, dev int, perPage float64) {
 	// Restart the EWMA from the clean probe: the quarantine-era estimate is
 	// saturated with fail-slow samples and would immediately re-strike. The
 	// warm-up is NOT restarted — the device is no stranger, and if the
-	// reinstatement was wrong the breaker should re-open within OpenAfter
-	// ops, not MinSamples+OpenAfter.
+	// reinstatement was wrong the breaker should re-open within openAfter
+	// ops, not minSamples+openAfter.
 	s.ewma = perPage
-	s.samples = m.cfg.MinSamples + 1
+	s.samples = minSamples + 1
 	m.open--
 	held := now - s.openedAt
 	m.stats.QuarantineTime += held

@@ -14,9 +14,9 @@ func feed(eng *sim.Engine, m *Monitor, dev, n int, perPage sim.Time) {
 	}
 }
 
-// warm gives every device of m a healthy baseline.
-func warm(eng *sim.Engine, m *Monitor, devs int, cfg Config) {
-	for i := 0; i < cfg.MinSamples+1; i++ {
+// warm gives every device of m a healthy baseline, past the warm-up.
+func warm(eng *sim.Engine, m *Monitor, devs int) {
+	for i := 0; i < minSamples+1; i++ {
 		for d := 0; d < devs; d++ {
 			m.Observe(eng.Now(), d, 1, 100*sim.Microsecond, false)
 		}
@@ -24,17 +24,10 @@ func warm(eng *sim.Engine, m *Monitor, devs int, cfg Config) {
 	}
 }
 
-func testConfig() Config {
-	return Config{Alpha: 0.5, SlowFactor: 3, OpenAfter: 4, MinSamples: 8,
-		MinLatency: 200 * sim.Microsecond, Backoff: 10 * sim.Millisecond,
-		MaxBackoff: 80 * sim.Millisecond}
-}
-
 func TestHealthyDevicesNeverQuarantine(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := testConfig()
-	m := NewMonitor(eng, 4, cfg)
-	warm(eng, m, 4, cfg)
+	m := NewMonitor(eng, 4)
+	warm(eng, m, 4)
 	feed(eng, m, 0, 500, 120*sim.Microsecond)
 	if m.OpenCount() != 0 || m.Stats().Quarantines != 0 {
 		t.Fatalf("healthy array quarantined: open=%d stats=%+v", m.OpenCount(), m.Stats())
@@ -46,9 +39,8 @@ func TestHealthyDevicesNeverQuarantine(t *testing.T) {
 
 func TestSlowDeviceOpensAfterHysteresis(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := testConfig()
-	m := NewMonitor(eng, 4, cfg)
-	warm(eng, m, 4, cfg)
+	m := NewMonitor(eng, 4)
+	warm(eng, m, 4)
 	opened := -1
 	m.OnChange = func(now sim.Time, dev int, q bool) {
 		if q {
@@ -60,7 +52,7 @@ func TestSlowDeviceOpensAfterHysteresis(t *testing.T) {
 	if m.Quarantined(2) {
 		t.Fatal("single slow op opened the breaker")
 	}
-	feed(eng, m, 2, 6, 5*sim.Millisecond)
+	feed(eng, m, 2, openAfter-1, 5*sim.Millisecond)
 	if !m.Quarantined(2) || opened != 2 {
 		t.Fatalf("sustained slowness did not quarantine dev 2 (opened=%d)", opened)
 	}
@@ -74,16 +66,15 @@ func TestSlowDeviceOpensAfterHysteresis(t *testing.T) {
 
 func TestProbeReinstatesWhenClean(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := testConfig()
-	m := NewMonitor(eng, 4, cfg)
+	m := NewMonitor(eng, 4)
 	probes := 0
 	m.Probe = func(now sim.Time, dev int) {
 		probes++
 		// The device recovered: the probe observes a healthy latency.
 		m.Observe(now, dev, 1, 110*sim.Microsecond, false)
 	}
-	warm(eng, m, 4, cfg)
-	feed(eng, m, 1, 5, 5*sim.Millisecond)
+	warm(eng, m, 4)
+	feed(eng, m, 1, openAfter, 5*sim.Millisecond)
 	if !m.Quarantined(1) {
 		t.Fatal("dev 1 not quarantined")
 	}
@@ -105,8 +96,7 @@ func TestProbeReinstatesWhenClean(t *testing.T) {
 
 func TestFailedProbeReopensWithBackoff(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := testConfig()
-	m := NewMonitor(eng, 4, cfg)
+	m := NewMonitor(eng, 4)
 	var opened sim.Time
 	m.OnChange = func(now sim.Time, dev int, q bool) {
 		if q {
@@ -123,8 +113,8 @@ func TestFailedProbeReopensWithBackoff(t *testing.T) {
 		}
 		m.Observe(now, dev, 1, lat, false)
 	}
-	warm(eng, m, 4, cfg)
-	feed(eng, m, 3, 6, 5*sim.Millisecond)
+	warm(eng, m, 4)
+	feed(eng, m, 3, openAfter, 5*sim.Millisecond)
 	if !m.Quarantined(3) {
 		t.Fatal("dev 3 not quarantined")
 	}
@@ -146,9 +136,8 @@ func TestFailedProbeReopensWithBackoff(t *testing.T) {
 }
 
 func TestBackoffCapped(t *testing.T) {
-	cfg := testConfig()
 	eng := sim.NewEngine()
-	m := NewMonitor(eng, 2, cfg)
+	m := NewMonitor(eng, 2)
 	var probeTimes []sim.Time
 	m.Probe = func(now sim.Time, dev int) {
 		probeTimes = append(probeTimes, now)
@@ -158,24 +147,23 @@ func TestBackoffCapped(t *testing.T) {
 		}
 		m.Observe(now, dev, 1, 50*sim.Millisecond, false)
 	}
-	warm(eng, m, 2, cfg)
+	warm(eng, m, 2)
 	feed(eng, m, 0, 20, 50*sim.Millisecond)
 	if !m.Quarantined(0) {
 		t.Fatal("dev 0 not quarantined")
 	}
 	eng.Run()
 	for i := 1; i < len(probeTimes); i++ {
-		if gap := probeTimes[i] - probeTimes[i-1]; gap > cfg.MaxBackoff {
-			t.Fatalf("probe gap %v exceeds MaxBackoff %v", gap, cfg.MaxBackoff)
+		if gap := probeTimes[i] - probeTimes[i-1]; gap > maxBackoff {
+			t.Fatalf("probe gap %v exceeds maxBackoff %v", gap, maxBackoff)
 		}
 	}
 }
 
 func TestGCObservationsIgnoredWhenClosed(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := testConfig()
-	m := NewMonitor(eng, 4, cfg)
-	warm(eng, m, 4, cfg)
+	m := NewMonitor(eng, 4)
+	warm(eng, m, 4)
 	// Huge latencies observed mid-GC must not strike.
 	for i := 0; i < 100; i++ {
 		m.Observe(eng.Now(), 1, 1, 50*sim.Millisecond, true)
@@ -188,10 +176,9 @@ func TestGCObservationsIgnoredWhenClosed(t *testing.T) {
 
 func TestResetClearsQuarantine(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := testConfig()
-	m := NewMonitor(eng, 4, cfg)
-	warm(eng, m, 4, cfg)
-	feed(eng, m, 2, 6, 5*sim.Millisecond)
+	m := NewMonitor(eng, 4)
+	warm(eng, m, 4)
+	feed(eng, m, 2, openAfter, 5*sim.Millisecond)
 	if !m.Quarantined(2) {
 		t.Fatal("dev 2 not quarantined")
 	}
@@ -210,10 +197,9 @@ func TestResetClearsQuarantine(t *testing.T) {
 
 func TestFinishChargesOpenTime(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := testConfig()
-	m := NewMonitor(eng, 4, cfg)
-	warm(eng, m, 4, cfg)
-	feed(eng, m, 0, 6, 5*sim.Millisecond)
+	m := NewMonitor(eng, 4)
+	warm(eng, m, 4)
+	feed(eng, m, 0, openAfter, 5*sim.Millisecond)
 	if !m.Quarantined(0) {
 		t.Fatal("dev 0 not quarantined")
 	}

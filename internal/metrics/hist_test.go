@@ -363,14 +363,6 @@ func TestWelfordMergeEmptyCases(t *testing.T) {
 	}
 }
 
-func BenchmarkHistObserve(b *testing.B) {
-	var h Hist
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h.Observe(int64(i%1000) * 997)
-	}
-}
-
 func BenchmarkHistQuantile(b *testing.B) {
 	var h Hist
 	rng := rand.New(rand.NewSource(3))

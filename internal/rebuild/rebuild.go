@@ -1,9 +1,18 @@
-// Package rebuild implements RAID failure recovery for the simulator: the
-// stripe-sequential reconstruction process of Linux MD (bandwidth-capped,
-// favouring the rebuild as the paper observed), with the two replacement
-// targets of the paper's §III-D — a newly added spare SSD, or the reserved
-// space of the surviving members written in parallel (GC-Steering's
-// parallel reconstruction workflow).
+// Package rebuild implements the simulator's bandwidth-capped background
+// stripe walks, the three modes Linux MD runs in one md_do_sync thread:
+//
+//   - Rebuilder: the stripe-sequential reconstruction of a failed disk
+//     (favouring the rebuild as the paper observed), into either of the
+//     paper's §III-D replacement targets — a newly added spare SSD, or the
+//     reserved space of the surviving members written in parallel
+//     (GC-Steering's parallel reconstruction workflow);
+//   - Scrubber: the patrol scrub, which verifies every unit against the
+//     persistent defect state and repairs bad ones from redundancy;
+//   - Resyncer: the post-crash parity resync that closes the write hole.
+//
+// All three share one paced walker (walk.go) and differ only in their
+// per-stripe decision. Everything is driven by the simulation engine, so a
+// run with background walks is exactly as reproducible as one without.
 package rebuild
 
 import (
@@ -17,11 +26,11 @@ import (
 
 // PaceInterval returns the gap between transfers of the given size that
 // holds a background stream to a bandwidth cap: bytes at mbps MB/s. It is
-// the pacing model of the stripe-sequential rebuild below, shared with the
-// patrol scrub, the post-crash resync and the cluster layer's copy jobs and
-// resync so every bandwidth-capped background stream in the simulator
-// paces identically. Gaps saturate at sim.Horizon; CheckPace rejects the
-// caps that would reach it.
+// the pacing model of the walker that rebuild, patrol scrub and post-crash
+// resync share, and of the cluster layer's copy jobs and resync, so every
+// bandwidth-capped background stream in the simulator paces identically.
+// Gaps saturate at sim.Horizon; CheckPace rejects the caps that would
+// reach it.
 func PaceInterval(bytes int64, mbps float64) sim.Time {
 	return sim.Time(min(paceNs(bytes, mbps), float64(sim.Horizon)))
 }
@@ -43,9 +52,9 @@ func paceNs(bytes int64, mbps float64) float64 {
 	return float64(bytes) / (mbps * 1e6) * float64(sim.Second)
 }
 
-// must panics on an I/O error from a member disk: rebuild ranges are
-// derived from the validated layout and checked sink geometry, so an error
-// here is an internal invariant violation, not bad input.
+// must panics on an I/O error from a member disk: walk ranges are derived
+// from the validated layout and checked sink geometry, so an error here is
+// an internal invariant violation, not bad input.
 func must(err error) {
 	if err != nil {
 		panic(err)
@@ -150,38 +159,15 @@ type Stats struct {
 	DataLossUnits int64
 }
 
-// Rebuilder drives the reconstruction of one failed disk.
+// Rebuilder drives the reconstruction of one failed disk: per stripe it
+// reads the unit of every survivor and writes the regenerated unit to the
+// sink, paced at one unit per interval.
 type Rebuilder struct {
-	eng  *sim.Engine
-	arr  *raid.Array
-	sink Sink
-	// interval is the pacing gap between unit rebuilds enforcing the
-	// bandwidth cap.
-	interval sim.Time
-
+	walker
+	sink    Sink
 	failed  int
-	stripes int
-	nextSt  int
-	running bool
 	stats   Stats
-
-	// The in-flight unit. Units are strictly serial (Start is guarded by
-	// running and each unit schedules the next), so one record serves the
-	// whole run: the callbacks are bound once in New and sources is
-	// resliced per unit, so a unit allocates nothing.
-	base         int                // first page of the unit being rebuilt
-	earliestNext sim.Time           // pacing floor for the next unit
-	sources      []int              // surviving members read for the unit
-	step         func(now sim.Time) // r.rebuildUnit
-	read         func(now sim.Time) // r.writeUnit, joined over the survivor reads
-	written      func(now sim.Time) // r.unitDone, on the sink write's completion
-
-	// OnComplete, when non-nil, fires once after the last unit is written.
-	OnComplete func(now sim.Time)
-
-	// Trace, when non-nil, receives rebuild lifecycle events (start, one
-	// event per rebuilt unit, done).
-	Trace *obs.Tracer
+	written func(now sim.Time) // r.unitDone, on the sink write's completion
 }
 
 // New prepares a rebuild of the array's failed disk into sink at the given
@@ -191,87 +177,46 @@ func New(eng *sim.Engine, arr *raid.Array, sink Sink, bandwidthMBps float64, pag
 	if !arr.Degraded() {
 		return nil, fmt.Errorf("rebuild: array is not degraded")
 	}
-	if bandwidthMBps <= 0 {
-		return nil, fmt.Errorf("rebuild: bandwidth %v must be positive", bandwidthMBps)
-	}
+	r := &Rebuilder{sink: sink, failed: arr.Failed()}
 	lay := arr.Layout()
-	interval := PaceInterval(int64(lay.UnitPages*pageSize), bandwidthMBps)
-	r := &Rebuilder{
-		eng:      eng,
-		arr:      arr,
-		sink:     sink,
-		interval: interval,
-		failed:   arr.Failed(),
-		stripes:  lay.Stripes(),
+	if err := r.init("rebuild", eng, arr, r, lay.UnitPages, bandwidthMBps, pageSize, lay.Stripes(), nil); err != nil {
+		return nil, err
 	}
-	r.step, r.read, r.written = r.rebuildUnit, r.writeUnit, r.unitDone
+	r.written = r.unitDone
 	return r, nil
 }
 
 // Stats returns a snapshot of the run statistics.
 func (r *Rebuilder) Stats() Stats { return r.stats }
 
-// Progress returns the fraction of stripes rebuilt.
-func (r *Rebuilder) Progress() float64 {
-	if r.stripes == 0 {
-		return 1
-	}
-	return float64(r.nextSt) / float64(r.stripes)
-}
-
-// Running reports whether the rebuild is in flight.
-func (r *Rebuilder) Running() bool { return r.running }
-
-// Start begins the stripe-sequential rebuild.
-func (r *Rebuilder) Start(now sim.Time) {
-	if r.running {
-		return
-	}
-	r.running = true
+func (r *Rebuilder) begin(now sim.Time) {
 	r.stats.StartedAt = now
 	if r.Trace.Enabled() {
 		r.Trace.Emit(now, obs.Event{Kind: obs.KRebuildStart, Dev: int32(r.failed),
-			Page: -1, Aux: int64(r.stripes)})
+			Page: -1, Aux: int64(r.n)})
 	}
-	r.rebuildUnit(now)
 }
 
-// rebuildUnit reconstructs the failed disk's unit of stripe r.nextSt: it
-// reads the stripe's units from every survivor (directly — rebuild I/O is
-// never steered), then writes the regenerated unit to the sink, then
-// schedules the next unit no earlier than the pacing interval allows.
-// Members that fail mid-rebuild (a second failure the layout tolerates)
-// drop out of the survivor reads; latent sector errors on the survivors
-// consume spare redundancy, and past the last redundant copy they turn the
-// unit into a data-loss event.
-func (r *Rebuilder) rebuildUnit(startAt sim.Time) {
-	if r.nextSt >= r.stripes {
-		r.running = false
-		r.stats.FinishedAt = startAt
-		if r.Trace.Enabled() {
-			r.Trace.Emit(startAt, obs.Event{Kind: obs.KRebuildDone, Dev: int32(r.failed),
-				Page: -1, Aux: int64(startAt - r.stats.StartedAt)})
-		}
-		if r.OnComplete != nil {
-			r.OnComplete(startAt)
-		}
-		return
+func (r *Rebuilder) end(now sim.Time) {
+	r.stats.FinishedAt = now
+	if r.Trace.Enabled() {
+		r.Trace.Emit(now, obs.Event{Kind: obs.KRebuildDone, Dev: int32(r.failed),
+			Page: -1, Aux: int64(now - r.stats.StartedAt)})
 	}
-	lay := r.arr.Layout()
-	st := r.nextSt
-	r.nextSt++
-	r.base = lay.UnitPage(st)
-	disks := r.arr.Disks()
+}
 
-	// Read the stripe's unit from every surviving member.
-	r.sources = r.sources[:0]
+// hold never defers: the paper's MD rebuild always runs at its cap.
+func (r *Rebuilder) hold(sim.Time, int) bool { return false }
+
+// visit charges the survivor reads. Members that fail mid-rebuild (a
+// second failure the layout tolerates) have dropped out of the sources;
+// latent sector errors on the survivors consume spare redundancy, and past
+// the last redundant copy they turn the unit into a data-loss event.
+func (r *Rebuilder) visit(now sim.Time) {
+	disks := r.arr.Disks()
 	errs := 0
-	for d := 0; d < lay.Disks; d++ {
-		if !r.arr.Alive(d) {
-			continue
-		}
-		r.sources = append(r.sources, d)
-		if f, ok := disks[d].(raid.Faulty); ok && f.ReadError(startAt, r.base, lay.UnitPages) {
+	for _, d := range r.sources {
+		if f, ok := disks[d].(raid.Faulty); ok && f.ReadError(now, r.base, r.unitPages()) {
 			errs++
 		}
 	}
@@ -283,28 +228,23 @@ func (r *Rebuilder) rebuildUnit(startAt sim.Time) {
 			r.stats.DataLossUnits++
 		}
 	}
-	r.earliestNext = startAt + r.interval
-	onRead := r.eng.Join(len(r.sources), r.read)
-	for _, d := range r.sources {
-		r.stats.PagesRead += int64(lay.UnitPages)
-		must(disks[d].Read(startAt, r.base, lay.UnitPages, onRead))
-	}
+	r.stats.PagesRead += r.pagesRead()
 }
 
-// writeUnit writes the regenerated unit once every survivor read is done.
-func (r *Rebuilder) writeUnit(now sim.Time) {
-	r.sink.WriteUnit(now, r.base, r.arr.Layout().UnitPages, r.written)
+// readDone writes the regenerated unit once every survivor read is done.
+func (r *Rebuilder) readDone(now sim.Time) {
+	r.sink.WriteUnit(now, r.base, r.unitPages(), r.written)
 }
 
 // unitDone accounts the written unit and paces the next one.
 func (r *Rebuilder) unitDone(now sim.Time) {
-	pages := r.arr.Layout().UnitPages
+	pages := r.unitPages()
 	r.stats.UnitsRebuilt++
 	r.stats.PagesWritten += int64(pages)
 	if r.Trace.Enabled() {
 		r.Trace.Emit(now, obs.Event{Kind: obs.KRebuildUnit, Dev: int32(r.failed),
 			Page: int64(r.base), Pages: int32(pages),
-			Aux: r.stats.UnitsRebuilt, Aux2: int64(r.stripes)})
+			Aux: r.stats.UnitsRebuilt, Aux2: int64(r.n)})
 	}
-	r.eng.At(max(now, r.earliestNext), r.step)
+	r.pace(now)
 }

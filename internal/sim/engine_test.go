@@ -319,14 +319,3 @@ func TestProbeClearedAndNilSafe(t *testing.T) {
 		t.Errorf("probe with every=0 fired %d times", fired)
 	}
 }
-
-func BenchmarkEngineScheduleAndRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.At(Time(j%97), func(Time) {})
-		}
-		e.Run()
-	}
-}

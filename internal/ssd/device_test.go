@@ -331,31 +331,3 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Fatal("BusyTime not accounted")
 	}
 }
-
-func BenchmarkDeviceRandomWrite(b *testing.B) {
-	eng := sim.NewEngine()
-	d, err := New(0, eng, DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.Prefill(rand.New(rand.NewSource(1)), 0.5, d.LogicalPages())
-	rng := rand.New(rand.NewSource(2))
-	lp := d.LogicalPages()
-	write := func() {
-		d.Write(eng.Now(), rng.Intn(lp), 1, nil)
-		eng.RunFor(50 * sim.Microsecond)
-	}
-	// Write until the first GC episode, so even a short run measures
-	// writes on a device that collects.
-	for d.Stats().GCEpisodes == 0 {
-		write()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		write()
-	}
-	b.StopTimer()
-	eng.Run()
-	b.ReportMetric(float64(d.Stats().GCEpisodes), "gc-episodes")
-}

@@ -232,16 +232,3 @@ func TestMeanInterarrival(t *testing.T) {
 		t.Fatalf("MeanInterarrival = %v", got)
 	}
 }
-
-func BenchmarkGenerate(b *testing.B) {
-	p := Enterprise()[0]
-	o := opts()
-	o.MaxRequests = 100000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o.Seed = int64(i)
-		if _, err := Generate(p, o); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -5,7 +5,7 @@ import (
 
 	"gcsteering/internal/fault"
 	"gcsteering/internal/obs"
-	"gcsteering/internal/scrub"
+	"gcsteering/internal/rebuild"
 	"gcsteering/internal/sim"
 )
 
@@ -225,7 +225,7 @@ func (s *System) powerLoss(tr Trace) (*Results, error) {
 			stripes[i] = i
 		}
 	}
-	rs, err := scrub.NewResync(sysB.eng, sysB.arr, resyncMBps, cfg.Flash.PageSize, stripes)
+	rs, err := rebuild.NewResync(sysB.eng, sysB.arr, resyncMBps, cfg.Flash.PageSize, stripes)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ import (
 	"gcsteering/internal/raid"
 	"gcsteering/internal/rebuild"
 	"gcsteering/internal/sched"
-	"gcsteering/internal/scrub"
 	"gcsteering/internal/sim"
 	"gcsteering/internal/ssd"
 	"gcsteering/internal/trace"
@@ -43,7 +42,7 @@ type (
 	// Recorder is the windowed time-series collector behind Results.Series.
 	Recorder = metrics.Recorder
 	// ScrubStats exposes the patrol scrubber's counters (Results.Scrub).
-	ScrubStats = scrub.Stats
+	ScrubStats = rebuild.ScrubStats
 )
 
 // NewTracer returns a structured event tracer writing JSON lines to w.
@@ -101,7 +100,7 @@ type System struct {
 	rejected     int64 // requests refused by admission control
 
 	faults   *fault.Controller // non-nil when Config.Fault is enabled
-	scrubber *scrub.Scrubber   // non-nil when Config.ScrubMBps > 0
+	scrubber *rebuild.Scrubber // non-nil when Config.ScrubMBps > 0
 	health   *health.Monitor   // non-nil when Config.Quarantine
 	nrepl    int               // replacement SSDs created so far (device IDs)
 	busy     *busyLog          // non-nil when Config.RecordBusy
@@ -207,7 +206,7 @@ func (w *Warmup) New(cfg Config) (*System, error) {
 		s.steer.Pressure = arr.UnderPressure
 	}
 	if cfg.Quarantine {
-		mon := health.NewMonitor(s.eng, cfg.Disks, health.Config{})
+		mon := health.NewMonitor(s.eng, cfg.Disks)
 		mon.Trace = cfg.Trace
 		mon.Probe = func(now sim.Time, dev int) {
 			// One-page probe read; the op hook below judges it synchronously.
@@ -485,7 +484,7 @@ func (s *System) startScrub() error {
 	if s.cfg.ScrubMBps <= 0 {
 		return nil
 	}
-	sc, err := scrub.New(s.eng, s.arr, scrub.Config{MBps: s.cfg.ScrubMBps}, s.cfg.Flash.PageSize)
+	sc, err := rebuild.NewScrub(s.eng, s.arr, s.cfg.ScrubMBps, s.cfg.Flash.PageSize)
 	if err != nil {
 		return err
 	}
